@@ -10,7 +10,7 @@ from . import values as v
 from .conversion import conv, subtype
 from .decls import Declaration
 from .diagnostics import CheckFailure, Diagnostic, Span
-from .evaluate import evaluate, quote
+from .evaluate import evaluate, quote, whnf
 from .globals import Globals
 
 
@@ -107,8 +107,8 @@ class Checker:
         return conv(ctx.depth, a, b, ty, eta_sigma=self.glob.config.eta_sigma)
 
     def ensure_universe(self, ctx: Context, value: v.Value, what: str) -> int:
-        if isinstance(value, v.VUniv):
-            return value.level
+        if isinstance(forced := whnf(value), v.VUniv):
+            return forced.level
         self.fail("not-a-type", f"{what} has type {self.show(ctx, value)}, expected a universe")
 
     def infer_type(self, ctx: Context, term: t.Term, what: str = "term") -> tuple[v.Value, int]:
@@ -141,7 +141,7 @@ class Checker:
             case t.Pair(_, _):
                 self.fail("cannot-infer", "unannotated pair in inference position")
             case t.App(fn, arg):
-                fn_ty = self.infer(ctx, fn)
+                fn_ty = whnf(self.infer(ctx, fn))
                 if not isinstance(fn_ty, v.VPi):
                     self.fail(
                         "not-a-function",
@@ -150,12 +150,12 @@ class Checker:
                 self.check(ctx, arg, fn_ty.dom)
                 return fn_ty.cod(self.eval_in(ctx, arg))
             case t.Fst(pair):
-                pair_ty = self.infer(ctx, pair)
+                pair_ty = whnf(self.infer(ctx, pair))
                 if not isinstance(pair_ty, v.VSigma):
                     self.fail("not-a-pair", f"fst of a term of type {self.show(ctx, pair_ty)}")
                 return pair_ty.fst_ty
             case t.Snd(pair):
-                pair_ty = self.infer(ctx, pair)
+                pair_ty = whnf(self.infer(ctx, pair))
                 if not isinstance(pair_ty, v.VSigma):
                     self.fail("not-a-pair", f"snd of a term of type {self.show(ctx, pair_ty)}")
                 from .evaluate import project_fst
@@ -212,7 +212,7 @@ class Checker:
                 self.fail("internal", f"infer: unhandled term {term!r}")
 
     def infer_j(self, ctx: Context, motive: t.Term, base: t.Term, path: t.Term) -> v.Value:
-        path_ty = self.infer(ctx, path)
+        path_ty = whnf(self.infer(ctx, path))
         if not isinstance(path_ty, v.VId):
             self.fail("not-a-path", f"J applied to a term of type {self.show(ctx, path_ty)}")
         carrier = path_ty.ty
@@ -240,7 +240,9 @@ class Checker:
     # -- checking --
 
     def check(self, ctx: Context, term: t.Term, expected: v.Value) -> None:
-        match (term, expected):
+        # Match on the unfolded type but pass `expected` itself to
+        # `subtype`, which can compare glued definitions without unfolding.
+        match (term, whnf(expected)):
             case (t.Lam(body), v.VPi(dom, cod)):
                 inner = ctx.extend("x", dom)
                 self.check(inner, body, cod(v.fresh(ctx.depth)))

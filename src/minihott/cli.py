@@ -2,7 +2,8 @@
 
 Exit codes (frozen): 0 = everything accepted / all suites pass,
 1 = logical rejection (a declaration or suite failed),
-2 = environmental or usage error (missing file, parse error, bad flag).
+2 = environmental, usage or internal error (missing file, parse error,
+bad flag, exhausted stack or memory, kernel invariant broken).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from . import oracle as oracle_mod
 from .corpus import manifest as manifest_mod
 from .diagnostics import CheckFailure
-from .evaluate import quote
+from .evaluate import KernelBug, quote
 from .globals import Config, Globals
 from .pipeline import check_source, run_deep
 from .printer import print_term
@@ -166,6 +167,11 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](args)
     except CheckFailure as exc:
         print(f"error: {exc.diagnostic.format()}", file=sys.stderr)
+        return EXIT_USAGE
+    except (RecursionError, MemoryError, KernelBug) as exc:
+        # The checker ran out of stack or memory, or broke an invariant:
+        # no verdict on the input, so not a rejection.
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 from . import values as v
-from .evaluate import apply, project_fst, project_snd
+from .evaluate import apply, project_fst, project_snd, whnf
 
-# Definition unfolding shares value objects aggressively, so large proof
-# values are compared against themselves constantly.  Physical identity
-# implies definitional equality (values are immutable), and results for
-# a pair of value objects never change, so conversion is memoized on
-# object identity.  `_retain` pins the keyed objects alive so that ids
-# are not recycled while their cache entries exist.
+# References to definitions evaluate to glued values (values.VGlued).
+# Two glued values with the same definition at the head are compared by
+# their spines first, which is sound by congruence; only when heads or
+# spines differ are both sides unfolded and compared structurally, which
+# keeps the check complete.
+#
+# Evaluation shares value objects (it is memoized on identity), so large
+# proof values are compared against themselves constantly.  Physical
+# identity implies definitional equality (values are immutable up to a
+# glued value's idempotent unfolding cache), and results for a pair of
+# value objects never change, so conversion is memoized on object
+# identity.  `_retain` pins the keyed objects alive so that ids are not
+# recycled while their cache entries exist.
 #
 # For the identity memo to hit, η-expansion must be identity-stable:
 # expanding the same value twice has to yield the *same* result object.
@@ -101,7 +108,7 @@ def conv(depth: int, a: v.Value, b: v.Value, ty: v.Value | None = None, *, eta_s
     """
     if a is b:
         return True
-    match ty:
+    match whnf(ty):
         case v.VPi(_, cod):
             return conv(
                 depth + 1,
@@ -136,7 +143,22 @@ def conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> b
     return result
 
 
+def _same_glued(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
+    """The same definition under convertible spines (a sufficient test)."""
+    return (
+        isinstance(a, v.VGlued)
+        and isinstance(b, v.VGlued)
+        and a.name == b.name
+        and spine_eq(depth, a.spine, b.spine, eta_sigma=eta_sigma)
+    )
+
+
 def _conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
+    if _same_glued(depth, a, b, eta_sigma=eta_sigma):
+        return True
+    a, b = whnf(a), whnf(b)
+    if a is b:
+        return True
     # untyped η for functions and pairs
     if isinstance(a, v.VLam) or isinstance(b, v.VLam):
         return conv_structural(
@@ -246,7 +268,9 @@ def subtype(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool = True) -> bo
     are covariant, Π domains invariant."""
     if a is b:
         return True
-    match (a, b):
+    # Shapes are read from the unfoldings; the fallback below still gets
+    # `a` and `b` themselves, so glued types can be compared by spine.
+    match (whnf(a), whnf(b)):
         case (v.VUniv(i), v.VUniv(j)):
             return i <= j
         case (v.VPi(d1, c1), v.VPi(d2, c2)):

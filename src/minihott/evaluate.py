@@ -117,8 +117,8 @@ def apply(fn: v.Value, arg: v.Value) -> v.Value:
     match fn:
         case v.VLam(body):
             return body(arg)
-        case v.VNeutral(head, spine):
-            return v.VNeutral(head, spine + (v.AppF(arg),))
+        case v.VNeutral() | v.VGlued():
+            return fn.extend(v.AppF(arg))
         case _:
             raise KernelBug(f"apply of non-function value {type(fn).__name__}")
 
@@ -133,8 +133,8 @@ def project_fst(pair: v.Value) -> v.Value:
     match pair:
         case v.VPair(fst, _):
             return fst
-        case v.VNeutral(head, spine):
-            return v.VNeutral(head, spine + (v.FstF(),))
+        case v.VNeutral() | v.VGlued():
+            return pair.extend(v.FstF())
         case _:
             raise KernelBug("fst of non-pair value")
 
@@ -143,8 +143,8 @@ def project_snd(pair: v.Value) -> v.Value:
     match pair:
         case v.VPair(_, snd):
             return snd
-        case v.VNeutral(head, spine):
-            return v.VNeutral(head, spine + (v.SndF(),))
+        case v.VNeutral() | v.VGlued():
+            return pair.extend(v.SndF())
         case _:
             raise KernelBug("snd of non-pair value")
 
@@ -153,8 +153,8 @@ def j_elim(motive: v.Closure, base: v.Closure, path: v.Value) -> v.Value:
     match path:
         case v.VRefl(arg):
             return base(arg)
-        case v.VNeutral(head, spine):
-            return v.VNeutral(head, spine + (v.JF(motive, base),))
+        case v.VNeutral() | v.VGlued():
+            return path.extend(v.JF(motive, base))
         case _:
             raise KernelBug("J applied to non-path value")
 
@@ -165,8 +165,8 @@ def nat_elim(motive: v.Closure, base: v.Value, step: v.Closure, target: v.Value)
             return base
         case v.VSuc(pred):
             return step(pred, nat_elim(motive, base, step, pred))
-        case v.VNeutral(head, spine):
-            return v.VNeutral(head, spine + (v.NatElimF(motive, base, step),))
+        case v.VNeutral() | v.VGlued():
+            return target.extend(v.NatElimF(motive, base, step))
         case _:
             raise KernelBug("natElim applied to non-numeral value")
 
@@ -177,18 +177,50 @@ def two_elim(motive: v.Closure, if0: v.Value, if1: v.Value, target: v.Value) -> 
             return if0
         case v.VBit1():
             return if1
-        case v.VNeutral(head, spine):
-            return v.VNeutral(head, spine + (v.TwoElimF(motive, if0, if1),))
+        case v.VNeutral() | v.VGlued():
+            return target.extend(v.TwoElimF(motive, if0, if1))
         case _:
             raise KernelBug("twoElim applied to non-boolean value")
 
 
 def empty_elim(motive: v.Closure, target: v.Value) -> v.Value:
     match target:
-        case v.VNeutral(head, spine):
-            return v.VNeutral(head, spine + (v.EmptyElimF(motive),))
+        case v.VNeutral() | v.VGlued():
+            return target.extend(v.EmptyElimF(motive))
         case _:
             raise KernelBug("emptyElim applied to a closed value")
+
+
+# --- delta unfolding ---
+
+
+def whnf(value: v.Value) -> v.Value:
+    """Unfold glued definitions until the value's shape is visible."""
+    while isinstance(value, v.VGlued):
+        if value.unfolded is None:
+            value.unfolded = _eliminate(whnf(value.parent), value.frame)
+        value = value.unfolded
+    return value
+
+
+def _eliminate(value: v.Value, frame) -> v.Value:
+    match frame:
+        case v.AppF(arg):
+            return apply(value, arg)
+        case v.FstF():
+            return project_fst(value)
+        case v.SndF():
+            return project_snd(value)
+        case v.JF(motive, base):
+            return j_elim(motive, base, value)
+        case v.NatElimF(motive, base, step):
+            return nat_elim(motive, base, step, value)
+        case v.TwoElimF(motive, if0, if1):
+            return two_elim(motive, if0, if1, value)
+        case v.EmptyElimF(motive):
+            return empty_elim(motive, value)
+        case _:
+            raise KernelBug("bad spine frame")
 
 
 # --- quotation ---
@@ -230,6 +262,8 @@ def quote(depth: int, value: v.Value) -> t.Term:
             return t.Bit1()
         case v.VNeutral(head, spine):
             return quote_neutral(depth, head, spine)
+        case v.VGlued():
+            return quote(depth, whnf(value))
         case _:
             raise KernelBug(f"quote: unhandled value {value!r}")
 

@@ -18,15 +18,17 @@ class GlobalEntry:
     kind: str  # "def" | "axiom"
     name: str
     type_value: v.Value
-    value: v.Value | None = None  # definitions only
+    ref: v.Value  # what a reference to the name evaluates to
+    value: v.Value | None = None  # definitions only: the unfolding
 
 
 @dataclass
 class Globals:
     """Append-only registry of checked definitions and axioms.
 
-    Axioms evaluate to opaque neutral heads; definitions unfold
-    transparently to their cached value.
+    A reference to an axiom evaluates to an opaque neutral head; a
+    reference to a definition evaluates to a glued value whose unfolding
+    is the definition's value, forced only where its shape is needed.
     """
 
     config: Config = field(default_factory=Config)
@@ -39,17 +41,15 @@ class Globals:
         return self.entries.get(name)
 
     def add_def(self, name: str, type_value: v.Value, value: v.Value) -> None:
-        self.entries[name] = GlobalEntry("def", name, type_value, value)
+        ref = v.VGlued(name, (), None, None, value)
+        self.entries[name] = GlobalEntry("def", name, type_value, ref, value)
 
     def add_axiom(self, name: str, type_value: v.Value) -> None:
-        self.entries[name] = GlobalEntry("axiom", name, type_value)
+        ref = v.VNeutral(v.VAxiom(name))
+        self.entries[name] = GlobalEntry("axiom", name, type_value, ref)
 
     def value_of(self, name: str) -> v.Value:
-        entry = self.entries[name]
-        if entry.kind == "axiom":
-            return v.VNeutral(v.VAxiom(name))
-        assert entry.value is not None
-        return entry.value
+        return self.entries[name].ref
 
     def names(self) -> set[str]:
         return set(self.entries)

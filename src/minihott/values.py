@@ -1,8 +1,12 @@
 """Semantic domain for normalization by evaluation.
 
-Values are weak-head normal: closures delay bodies, neutrals carry a
-head (a de Bruijn *level* or an axiom name) and a spine of pending
-eliminations. Values are immutable and may be shared freely.
+Values are weak-head normal, up to delta: closures delay bodies,
+neutrals carry a head (a de Bruijn *level* or an axiom name) and a spine
+of pending eliminations, and a glued value (`VGlued`) stands for a
+definition under a spine of eliminations whose unfolding is computed
+only when forced.  Values are immutable and may be shared freely; the
+one mutable slot, a glued value's cached unfolding, is written at most
+once and always with the same result.
 """
 
 from __future__ import annotations
@@ -30,10 +34,8 @@ class Closure:
     arity: int = 1
 
     def __call__(self, *args: Value) -> Value:
-        from .evaluate import evaluate
-
         assert len(args) == self.arity
-        return evaluate(self.glob, intern_env(self.env + args), self.body)
+        return _evaluate.evaluate(self.glob, intern_env(self.env + args), self.body)
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,6 +181,31 @@ class VNeutral(Value):
     head: VVar | VAxiom
     spine: tuple = ()
 
+    def extend(self, frame) -> "VNeutral":
+        return VNeutral(self.head, self.spine + (frame,))
+
+
+@dataclass(eq=False, slots=True)
+class VGlued(Value):
+    """The definition `name` under the eliminations in `spine`.
+
+    Conversion compares two glued values with the same name by their
+    spines; everything else sees the unfolding through
+    `evaluate.whnf`.  A root (empty spine) holds the definition's value
+    in `unfolded` from the start; an extension holds its `parent` and
+    the last `frame`, and its unfolding is that frame applied to the
+    parent's unfolding, cached here the first time it is forced.
+    """
+
+    name: str
+    spine: tuple
+    parent: VGlued | None
+    frame: object
+    unfolded: Value | None
+
+    def extend(self, frame) -> "VGlued":
+        return VGlued(self.name, self.spine + (frame,), self, frame, None)
+
 
 # Environment tuples are interned by the identities of their elements so
 # that applying the same closure to the same argument objects twice
@@ -210,3 +237,7 @@ def fresh(level: int) -> VNeutral:
     while len(_FRESH) <= level:
         _FRESH.append(VNeutral(VVar(len(_FRESH))))
     return _FRESH[level]
+
+
+# Imported last: evaluate imports this module.
+from . import evaluate as _evaluate  # noqa: E402

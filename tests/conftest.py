@@ -8,14 +8,20 @@ from minihott.pipeline import check_source, run_deep
 
 
 class CorpusRun:
-    """One full check of the emitted corpus with per-file wall times."""
+    """One check of the emitted corpus with per-file wall times.
 
-    def __init__(self, config: Config | None = None, sources=None):
+    `prefixes` limits the run to the files whose paths start with one of
+    them (all files by default), keeping manifest order.
+    """
+
+    def __init__(self, config: Config | None = None, sources=None, prefixes=("",)):
         self.files = []  # (HottFile, FileResult, seconds)
 
         def main():
             glob = Globals(config or Config())
             for f in emit_corpus(2):
+                if not f.relpath.startswith(tuple(prefixes)):
+                    continue
                 source = f.render() if sources is None else sources[f.relpath]
                 start = time.perf_counter()
                 result = check_source(source, glob, file=f.relpath)

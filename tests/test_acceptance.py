@@ -1,5 +1,6 @@
 """Acceptance gate: wall-time budgets for the corpus levels, the oracle
-budget, symbol coverage, and the mutation suite (no false accepts)."""
+budget, symbol coverage, the mutation suite (no false accepts), and a
+differential check of lazy definition unfolding in conversion."""
 
 import time
 
@@ -7,14 +8,15 @@ import pytest
 
 from conftest import CorpusRun
 
-from minihott import oracle
+from minihott import checker, conversion, oracle
 from minihott.corpus.manifest import emit_corpus, missing_symbols
+from minihott.pipeline import run_deep
 
 PRELUDE_AND_GENERIC = ["prelude/", "generic/"]
 
 LEVEL0_BUDGET_SECONDS = 10.0
-LEVEL1_BUDGET_SECONDS = 60.0
-LEVEL2_BUDGET_SECONDS = 600.0
+LEVEL1_BUDGET_SECONDS = 10.0
+LEVEL2_BUDGET_SECONDS = 30.0
 ORACLE_BUDGET_SECONDS = 5.0
 
 
@@ -108,11 +110,11 @@ SELF_WITNESS_BODY = "def selfCommuter : commuteChoice\n  := fun X p => (p, refl"
 SELF_WITNESS_MUTANT = "def selfCommuter : commuteChoice\n  := fun X p => (refl X, refl"
 
 
-def mutated_run(path: str, old: str, new: str) -> CorpusRun:
+def mutated_run(path: str, old: str, new: str, prefixes=("",)) -> CorpusRun:
     sources = corpus_sources()
     assert old in sources[path], "mutation anchor drifted"
     sources[path] = sources[path].replace(old, new)
-    return CorpusRun(sources=sources)
+    return CorpusRun(sources=sources, prefixes=prefixes)
 
 
 def drop_axiom_run(path: str, axiom_name: str) -> CorpusRun:
@@ -165,3 +167,47 @@ def test_mutation_degenerate_commutation_witness_is_rejected():
     )
     assert run.status_of("selfCommuter") == "rejected"
     assert first_rejection(run, "30-commuting-loops.hott") == "selfCommuter"
+
+
+# --- criterion: lazy unfolding answers every conversion query as eager
+# unfolding does ---
+
+THROUGH_LEVEL1 = PRELUDE_AND_GENERIC + ["levels/level0/", "levels/level1/"]
+
+
+def test_lazy_unfolding_agrees_with_eager_unfolding(monkeypatch):
+    """Record each subtype and conv query the checker makes through level 1,
+    on the corpus and on two mutants, then replay it with the same-head
+    shortcut off, so that every definition is unfolded before comparison.
+    The answers must agree, and the mutants must contribute rejections."""
+    queries = []  # (function, args, kwargs, answer)
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            answer = fn(*args, **kwargs)
+            queries.append((fn, args, kwargs, answer))
+            return answer
+
+        return wrapper
+
+    monkeypatch.setattr(checker, "subtype", recorded(conversion.subtype))
+    monkeypatch.setattr(checker, "conv", recorded(conversion.conv))
+    assert CorpusRun(prefixes=THROUGH_LEVEL1).all_ok
+    swap = mutated_run("prelude/07-two.hott", SWAP_BODY, SWAP_MUTANT, THROUGH_LEVEL1)
+    assert swap.status_of("swapPathNontrivial") == "rejected"
+    path = "levels/level1/30-commuting-loops.hott"
+    witness = mutated_run(path, SELF_WITNESS_BODY, SELF_WITNESS_MUTANT, THROUGH_LEVEL1)
+    assert witness.status_of("selfCommuter") == "rejected"
+    assert any(answer is False for *_, answer in queries)
+
+    monkeypatch.setattr(conversion, "_same_glued", lambda *args, **kwargs: False)
+    for table in (conversion._memo, conversion._retain, conversion._app_memo, conversion._app_retain):
+        table.clear()
+    disagreements = run_deep(
+        lambda: [
+            (fn.__name__, answer)
+            for fn, args, kwargs, answer in queries
+            if fn(*args, **kwargs) != answer
+        ]
+    )
+    assert disagreements == []

@@ -2,7 +2,10 @@
 idempotence, and the report-schema contract."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -45,6 +48,20 @@ def test_parse_error_exits_two(tmp_path, capsys):
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.hott")]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def test_exhausted_stack_is_an_internal_error_without_traceback(tmp_path):
+    # A unary numeral this large recurses past the raised recursion limit.
+    path = write(tmp_path, "big.hott", "def n : Nat := 200000\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "minihott", "check", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: internal error: RecursionError")
+    assert done.stderr.count("\n") == 1
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -136,6 +136,35 @@ def test_swap_not_convertible_with_identity():
     assert result.report.declarations[-1].status == "rejected"
 
 
+EXP2_SOURCE = """
+def double : Nat -> Nat
+  := fun n => natElim (fun k => Nat) 0 (fun k ih => suc (suc ih)) n
+
+def exp2 : Nat -> Nat
+  := fun n => natElim (fun k => Nat) 1 (fun k ih => double ih) n
+"""
+
+
+def test_equal_applications_of_a_definition_are_not_unfolded():
+    # Unfolding exp2 30 would build a numeral of 2^30 successors.
+    source = EXP2_SOURCE + (
+        "goal exp2Refl : Id Nat (exp2 30) (exp2 30)\n"
+        "  := refl (exp2 30)"
+    )
+    assert check_one(source).ok
+
+
+def test_a_definition_on_different_arguments_is_unfolded():
+    source = (
+        "def isZero : Nat -> Two\n"
+        "  := fun n => natElim (fun k => Two) one2 (fun k ih => zero2) n\n"
+        "goal sameValue : Id Two (isZero 1) (isZero 2) := refl zero2\n"
+        "goal otherValue : Id Two (isZero 0) (isZero 2) := refl one2"
+    )
+    statuses = [d.status for d in check_one(source).report.declarations]
+    assert statuses == ["accepted", "accepted", "rejected"]
+
+
 def test_refl_endpoint_mismatch():
     result = check_one("goal bad : Id Two zero2 one2 := refl zero2")
     assert result.report.declarations[-1].status == "rejected"
