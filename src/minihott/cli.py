@@ -13,12 +13,10 @@ import json
 import os
 import sys
 
-from . import oracle as oracle_mod
-from .corpus import manifest as manifest_mod
 from .diagnostics import CheckFailure
 from .evaluate import KernelBug, quote
-from .globals import Config, Globals
-from .pipeline import check_source, run_deep
+from .globals import Config
+from .pipeline import check_files, run_deep
 from .printer import print_term
 
 MAX_LEVEL_ENV = "MINIHOTT_MAX_LEVEL"
@@ -51,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="run finite-model verification suites")
     orc.add_argument("--suite", action="append", default=None)
-    orc.add_argument("--bound", type=int, default=oracle_mod.DEFAULT_BOUND)
+    orc.add_argument("--bound", type=int, default=None)
 
     return parser
 
@@ -68,19 +66,9 @@ def _config(args: argparse.Namespace) -> Config:
     return Config(max_level=max_level, eta_sigma=getattr(args, "eta_sigma", True))
 
 
-def _check_files(paths: list[str], config: Config):
-    glob = Globals(config)
-    results = []
-    for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
-        results.append(check_source(source, glob, file=path))
-    return results, glob
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     config = _config(args)
-    results, _ = run_deep(lambda: _check_files(args.files, config))
+    results, _ = run_deep(lambda: check_files(args.files, config))
     reports = [r.report for r in results]
     if args.format == "json":
         print(json.dumps({"reports": [r.to_json() for r in reports]}, ensure_ascii=False, indent=2))
@@ -101,7 +89,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     config = _config(args)
 
     def run():
-        results, glob = _check_files(args.files, config)
+        results, glob = check_files(args.files, config)
         if not all(r.ok for r in results):
             return None, None, results
         entry = glob.lookup(args.name)
@@ -127,7 +115,9 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    written = manifest_mod.write_corpus(args.out, args.level)
+    from .corpus import manifest
+
+    written = manifest.write_corpus(args.out, args.level)
     if args.format == "json":
         print(json.dumps({"out": args.out, "written": written}, ensure_ascii=False, indent=2))
     else:
@@ -137,9 +127,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    reports = oracle_mod.run_suites(args.suite, args.bound)
+    from . import oracle
+
+    bound = oracle.DEFAULT_BOUND if args.bound is None else args.bound
+    reports = oracle.run_suites(args.suite, bound)
     if args.format == "json":
-        print(json.dumps(oracle_mod.reports_to_json(reports), ensure_ascii=False, indent=2))
+        print(json.dumps(oracle.reports_to_json(reports), ensure_ascii=False, indent=2))
     else:
         for report in reports:
             status = "pass" if report.ok else "FAIL"

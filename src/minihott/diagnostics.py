@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,16 +44,3 @@ class CheckFailure(Exception):
         super().__init__(diagnostic.message)
         self.diagnostic = diagnostic
 
-
-@dataclass
-class DiagnosticSink:
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    def error(self, code: str, message: str, span: Span) -> Diagnostic:
-        d = Diagnostic("error", code, message, span)
-        self.diagnostics.append(d)
-        return d
-
-    @property
-    def has_errors(self) -> bool:
-        return any(d.severity == "error" for d in self.diagnostics)

@@ -25,7 +25,7 @@ Comments start with `--`.  A `--!` comment is a file pragma and a
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import CheckFailure, Diagnostic, Span
 from .surface import (
@@ -61,26 +61,29 @@ CONSTS = {"Nat", "Empty", "Unit", "Two", "star", "zero2", "one2"}
 
 KEYWORDS = {"def", "axiom", "goal", "fun"} | set(ELIM_ARITY) | CONSTS
 
+# One match per token. Whitespace and plain `--` comments are skipped by the
+# leading part; `bad` takes any other character and `eof` the end, so the
+# pattern matches wherever the last match ended and never backtracks into
+# the skipped part.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<pragma>--!\s*[^\n]*)
+    \s* (?: --(?![!@])[^\n]* \s* )*
+    (?:
+      (?P<pragma>--!\s*[^\n]*)
     | (?P<srcref>--@\s*[^\n]*)
-    | (?P<comment>--[^\n]*)
     | (?P<univ>U[0-9]+\b)
     | (?P<num>[0-9]+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<assign>:=)
-    | (?P<arrow>->)
-    | (?P<darrow>=>)
-    | (?P<punct>[():,*])
+    | (?P<punct>:=|->|=>|[():,*])
+    | (?P<bad>.)
+    | (?P<eof>\Z)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "kw" | "univ" | "num" | "pragma" | "srcref" | literal punct | "eof"
     text: str
     span: Span
@@ -88,36 +91,25 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise CheckFailure(
-                Diagnostic("error", "lex", f"unexpected character {source[pos]!r}", Span.point(pos))
-            )
-        span = Span(m.start(), m.end())
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
-        pos = m.end()
-        match kind:
-            case "ws" | "comment":
-                continue
-            case "pragma":
-                tokens.append(Token("pragma", text[3:].strip(), span))
-            case "srcref":
-                tokens.append(Token("srcref", text[3:].strip(), span))
-            case "univ":
-                tokens.append(Token("univ", text, span))
-            case "num":
-                tokens.append(Token("num", text, span))
-            case "ident":
-                k = "kw" if text in KEYWORDS else "ident"
-                tokens.append(Token(k, text, span))
-            case "assign" | "arrow" | "darrow":
-                tokens.append(Token(text, text, span))
-            case "punct":
-                tokens.append(Token(text, text, span))
-    tokens.append(Token("eof", "", Span.point(len(source))))
+        text = m[kind]
+        start = m.start(kind)
+        if kind == "ident":
+            if text in KEYWORDS:
+                kind = "kw"
+        elif kind == "punct":
+            kind = text
+        elif kind == "pragma" or kind == "srcref":
+            text = text[3:].strip()
+        elif kind == "bad":
+            raise CheckFailure(
+                Diagnostic("error", "lex", f"unexpected character {text!r}", Span.point(start))
+            )
+        append(Token(kind, text, Span(start, m.end())))
+        if kind == "eof":  # else `finditer` goes on to an empty match at the end
+            break
     return tokens
 
 
@@ -129,8 +121,9 @@ class Parser:
     # -- token helpers -------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        if offset == 0:  # the cursor never passes `eof`, the last token
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def next(self) -> Token:
         t = self.peek()

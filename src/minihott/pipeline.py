@@ -8,6 +8,7 @@ silently building on a rejected proof.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -97,27 +98,46 @@ def check_files(
     return results, glob
 
 
+_STACK_SIZE_LOCK = threading.Lock()
+
+
 def run_deep(fn, stack_mb: int = 512):
-    """Run `fn` on a thread with a large stack and a raised recursion limit.
+    """Run `fn` on a thread with a large stack, a raised recursion limit and
+    the cyclic garbage collector off; return its result or raise its error.
 
     Normalization of large proof terms recurses structurally; CPython's
-    default limits are far too small for the deepest corpus terms.
+    default limits are far too small for the deepest corpus terms.  The
+    kernel creates no reference cycles (tests/test_kernel.py checks this),
+    so a collection would free nothing, yet it would walk every value the
+    memo tables keep alive.  The caller's thread stack size, recursion limit
+    and collector state are restored when `fn` returns or raises; a nested
+    call leaves the collector off.
     """
     out: dict = {}
 
     def wrapped():
-        old = sys.getrecursionlimit()
+        old_limit = sys.getrecursionlimit()
+        gc_was_enabled = gc.isenabled()
         sys.setrecursionlimit(200_000)
+        gc.disable()
         try:
             out["value"] = fn()
         except BaseException as exc:  # re-raised on the caller's thread
             out["error"] = exc
         finally:
-            sys.setrecursionlimit(old)
+            sys.setrecursionlimit(old_limit)
+            if gc_was_enabled:
+                gc.enable()
 
-    threading.stack_size(stack_mb * 1024 * 1024)
-    thread = threading.Thread(target=wrapped)
-    thread.start()
+    # The stack size is process-wide; the lock keeps a nested call, which
+    # can start before this `finally` runs, from saving the raised size.
+    with _STACK_SIZE_LOCK:
+        old_stack = threading.stack_size(stack_mb * 1024 * 1024)
+        try:
+            thread = threading.Thread(target=wrapped)
+            thread.start()
+        finally:
+            threading.stack_size(old_stack)
     thread.join()
     if "error" in out:
         raise out["error"]

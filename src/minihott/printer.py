@@ -164,43 +164,52 @@ def _wrap(out: str, required: int, actual: int) -> str:
     return f"({out})" if required > actual else out
 
 
-def _uses_top(body: t.Term) -> bool:
-    """Does a one-binder body refer to its bound variable?"""
+def _uses_top(term: t.Term, depth: int = 0) -> bool:
+    """Does a one-binder body refer to its bound variable?
 
-    def go(term: t.Term, depth: int) -> bool:
-        match term:
-            case t.Var(index):
-                return index == depth
-            case t.Pi(dom, cod) | t.Sigma(dom, cod):
-                return go(dom, depth) or go(cod, depth + 1)
-            case t.Lam(body_):
-                return go(body_, depth + 1)
-            case t.J(motive, base, path):
-                return go(motive, depth + 3) or go(base, depth + 1) or go(path, depth)
-            case t.NatElim(motive, base, step, target):
-                return (
-                    go(motive, depth + 1)
-                    or go(base, depth)
-                    or go(step, depth + 2)
-                    or go(target, depth)
-                )
-            case t.TwoElim(motive, if0, if1, target):
-                return (
-                    go(motive, depth + 1) or go(if0, depth) or go(if1, depth) or go(target, depth)
-                )
-            case t.EmptyElim(motive, target):
-                return go(motive, depth + 1) or go(target, depth)
-            case t.App(fn, arg):
-                return go(fn, depth) or go(arg, depth)
-            case t.Pair(fst, snd):
-                return go(fst, depth) or go(snd, depth)
-            case t.Ann(inner, ty):
-                return go(inner, depth) or go(ty, depth)
-            case t.Fst(p) | t.Snd(p) | t.Refl(p) | t.Suc(p):
-                return go(p, depth)
-            case t.Id(ty, lhs, rhs):
-                return go(ty, depth) or go(lhs, depth) or go(rhs, depth)
-            case _:
-                return False
-
-    return go(body, 0)
+    `depth` counts the binders entered inside the body; under them the
+    variable is `Var(depth)`.  A module-level function, not a recursive closure: a closure that
+    calls itself is a reference cycle, and checking runs with the cyclic
+    garbage collector off.
+    """
+    match term:
+        case t.Var(index):
+            return index == depth
+        case t.Pi(dom, cod) | t.Sigma(dom, cod):
+            return _uses_top(dom, depth) or _uses_top(cod, depth + 1)
+        case t.Lam(body_):
+            return _uses_top(body_, depth + 1)
+        case t.J(motive, base, path):
+            return (
+                _uses_top(motive, depth + 3)
+                or _uses_top(base, depth + 1)
+                or _uses_top(path, depth)
+            )
+        case t.NatElim(motive, base, step, target):
+            return (
+                _uses_top(motive, depth + 1)
+                or _uses_top(base, depth)
+                or _uses_top(step, depth + 2)
+                or _uses_top(target, depth)
+            )
+        case t.TwoElim(motive, if0, if1, target):
+            return (
+                _uses_top(motive, depth + 1)
+                or _uses_top(if0, depth)
+                or _uses_top(if1, depth)
+                or _uses_top(target, depth)
+            )
+        case t.EmptyElim(motive, target):
+            return _uses_top(motive, depth + 1) or _uses_top(target, depth)
+        case t.App(fn, arg):
+            return _uses_top(fn, depth) or _uses_top(arg, depth)
+        case t.Pair(fst, snd):
+            return _uses_top(fst, depth) or _uses_top(snd, depth)
+        case t.Ann(inner, ty):
+            return _uses_top(inner, depth) or _uses_top(ty, depth)
+        case t.Fst(p) | t.Snd(p) | t.Refl(p) | t.Suc(p):
+            return _uses_top(p, depth)
+        case t.Id(ty, lhs, rhs):
+            return _uses_top(ty, depth) or _uses_top(lhs, depth) or _uses_top(rhs, depth)
+        case _:
+            return False

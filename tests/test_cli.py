@@ -139,6 +139,33 @@ def test_oracle_excessive_bound_exits_two(capsys):
     assert main(["oracle", "--bound", "99"]) == EXIT_USAGE
 
 
+def test_oracle_bound_defaults_to_the_oracle_default(monkeypatch, capsys):
+    from minihott import oracle
+
+    bounds = []
+    monkeypatch.setattr(oracle, "run_suites", lambda suites, bound: bounds.append(bound) or [])
+    assert main(["oracle"]) == EXIT_OK
+    assert main(["oracle", "--bound", "3"]) == EXIT_OK
+    assert bounds == [oracle.DEFAULT_BOUND, 3]
+
+
+# --- imports ---
+
+
+def test_importing_the_cli_leaves_out_the_oracle_and_the_generator():
+    probe = (
+        "import sys, minihott.cli as cli\n"
+        "assert callable(cli.quote) and callable(cli.print_term) and callable(cli.run_deep)\n"
+        "print(sorted(m for m in ('minihott.oracle', 'minihott.corpus.manifest') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 # --- normalize ---
 
 

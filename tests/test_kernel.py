@@ -1,13 +1,19 @@
 """Kernel units: evaluation, conversion, bidirectional checking, subtyping."""
 
+import gc
+import sys
+import threading
+
+import pytest
 from conftest import check_one
 
 from minihott import values as v
 from minihott.conversion import conv
+from minihott.corpus.manifest import emit_corpus
 from minihott.evaluate import evaluate, normalize, quote
 from minihott.globals import Config, Globals
 from minihott.parser import parse_module
-from minihott.pipeline import check_source
+from minihott.pipeline import check_source, run_deep
 from minihott.printer import print_term
 from minihott.resolver import Resolver
 
@@ -235,3 +241,66 @@ def test_goals_bind_nothing():
 
 def test_axiom_with_ill_typed_statement_rejected():
     assert not check_one("axiom bad : fst U0").ok
+
+
+# --- no reference cycles: checking runs with the cyclic GC off ---
+
+REJECTIONS_SOURCE = """
+def one : Nat := 1
+def notTwo : Two := star
+def typo : Nat := onr
+def one : Nat := 2
+def x7 : Nat := 0
+def constFamily : U1 := (A : U0) -> A -> (B : U0) * B
+"""
+
+
+def test_checking_and_printing_create_no_reference_cycles():
+    # Garbage in a reference cycle would stay until exit, since `run_deep`
+    # turns the cyclic collector off.
+    prelude = [f.render() for f in emit_corpus(2) if f.relpath.startswith("prelude/")]
+
+    def work():
+        glob = Globals(Config())
+        for source in prelude:
+            assert check_source(source, glob).ok
+        result = check_source(REJECTIONS_SOURCE, glob)
+        diagnostics = [d.diagnostic for d in result.report.declarations]
+        assert [d and d.code for d in diagnostics] == [
+            None,
+            "type-mismatch",
+            "resolve",
+            "duplicate-name",
+            "reserved-name",
+            None,
+        ]
+        assert "did you mean 'one'?" in diagnostics[2].message
+        return print_term(quote(0, glob.lookup("constFamily").value))
+
+    gc.collect()
+    gc.disable()  # else a collection as soon as `run_deep` turns it back on hides the cycles
+    try:
+        normal = run_deep(work)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert normal == "(x0 : U0) -> x0 -> (x2 : U0) * x2"
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_run_deep_restores_process_state(fails):
+    def fn():
+        assert not gc.isenabled()
+        run_deep(lambda: None)  # a nested call leaves the collector off
+        assert not gc.isenabled()
+        if fails:
+            raise ValueError("from fn")
+        return "from fn"
+
+    before = (threading.stack_size(), sys.getrecursionlimit(), gc.isenabled())
+    if fails:
+        with pytest.raises(ValueError, match="from fn"):
+            run_deep(fn)
+    else:
+        assert run_deep(fn) == "from fn"
+    assert (threading.stack_size(), sys.getrecursionlimit(), gc.isenabled()) == before

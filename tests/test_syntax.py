@@ -1,12 +1,15 @@
 """Parser, resolver, and printer: units plus the print round-trip."""
 
+import pathlib
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minihott import terms as t
-from minihott.diagnostics import CheckFailure
-from minihott.parser import parse_module
+from minihott.diagnostics import CheckFailure, Diagnostic, Span
+from minihott.parser import KEYWORDS, parse_module, tokenize
 from minihott.printer import print_term
 from minihott.resolver import Resolver
 
@@ -93,6 +96,93 @@ def test_duplicate_toplevel_name_rejected():
     statuses = [d.status for d in result.report.declarations]
     assert statuses == ["accepted", "rejected"]
     assert result.report.declarations[1].diagnostic.code == "duplicate-name"
+
+
+# --- lexing: differential test against the one-match-per-lexeme lexer ---
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "generated"
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<pragma>--!\s*[^\n]*)
+    | (?P<srcref>--@\s*[^\n]*)
+    | (?P<comment>--[^\n]*)
+    | (?P<univ>U[0-9]+\b)
+    | (?P<num>[0-9]+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<assign>:=)
+    | (?P<arrow>->)
+    | (?P<darrow>=>)
+    | (?P<punct>[():,*])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(source: str) -> list[tuple[str, str, Span]]:
+    """The earlier lexer: one match per run of whitespace, per comment and
+    per token. `tokenize` must give the same (kind, text, span) triples."""
+    tokens = []
+    pos = 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN_RE.match(source, pos)
+        if m is None:
+            raise CheckFailure(
+                Diagnostic("error", "lex", f"unexpected character {source[pos]!r}", Span.point(pos))
+            )
+        span = Span(m.start(), m.end())
+        kind = m.lastgroup
+        text = m.group()
+        pos = m.end()
+        match kind:
+            case "ws" | "comment":
+                continue
+            case "pragma" | "srcref":
+                tokens.append((kind, text[3:].strip(), span))
+            case "univ" | "num":
+                tokens.append((kind, text, span))
+            case "ident":
+                tokens.append(("kw" if text in KEYWORDS else "ident", text, span))
+            case _:
+                tokens.append((text, text, span))
+    tokens.append(("eof", "", Span.point(len(source))))
+    return tokens
+
+
+def lex_outcome(lex, source: str):
+    try:
+        return [(kind, text, span) for kind, text, span in lex(source)]
+    except CheckFailure as exc:
+        return exc.diagnostic
+
+
+def test_tokenize_matches_reference_on_the_corpus():
+    paths = sorted(CORPUS.rglob("*.hott"))
+    assert len(paths) == 18
+    for path in paths:
+        source = path.read_text(encoding="utf-8")
+        assert tokenize(source) == reference_tokenize(source), path
+
+
+LEX_FRAGMENTS = [
+    *("def", "fun", "J", "x", "x'", "_a1", "U0", "U12", "U1x", "U", "0", "42"),
+    *(":=", "->", "=>", "(", ")", ":", ",", "*", "=", ">"),
+    *(" ", "\t", "\n", " \n\t ", "\r\n", "\u00a0"),
+    *("--", "-- note", "---", "-->", "--!", "--! requires-ua", "--@", "--@ tag"),
+    *("$", "#", "!", "-", "@", "é"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(LEX_FRAGMENTS), st.text(" \n-!@$#éU0:=>()", max_size=6)),
+        max_size=40,
+    ).map("".join)
+)
+def test_tokenize_matches_reference_on_fragments(source):
+    assert lex_outcome(tokenize, source) == lex_outcome(reference_tokenize, source)
 
 
 # --- printing: round trip ---
