@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from . import terms as t
@@ -19,6 +18,7 @@ class Context:
     """Ordered telescope of binder types plus the matching neutral environment."""
 
     entries: tuple = ()  # tuple[(name_hint, Value), ...], innermost last
+    fresh_vars: tuple = ()  # (fresh(0), ..., fresh(depth - 1))
 
     @property
     def depth(self) -> int:
@@ -26,10 +26,12 @@ class Context:
 
     @property
     def env(self) -> tuple:
-        return v.intern_env(tuple(v.fresh(i) for i in range(self.depth)))
+        # Interned when used, not in `extend`: a context that evaluates
+        # nothing leaves no entry in the table.
+        return v.intern_env(self.fresh_vars)
 
     def extend(self, hint: str, ty: v.Value) -> "Context":
-        return Context(self.entries + ((hint, ty),))
+        return Context(self.entries + ((hint, ty),), self.fresh_vars + (v.fresh(self.depth),))
 
     def lookup(self, index: int) -> v.Value:
         return self.entries[-1 - index][1]
@@ -296,45 +298,3 @@ class Checker:
         if decl.kind == "def":
             self.glob.add_def(decl.name, ty_v, evaluate(self.glob, (), decl.body))
         # goals are checked and reported but bind nothing
-
-
-def check_module(
-    decls: list[Declaration], glob: Globals, file: str = "<input>"
-) -> CheckReport:
-    """Check declarations in order; continue past failures.
-
-    A rejected declaration is not added to the globals, so later
-    declarations that depend on it are rejected as well (unbound name).
-    """
-    checker = Checker(glob)
-    report = CheckReport(file=file)
-    for decl in decls:
-        if decl.name in glob:
-            report.declarations.append(
-                DeclReport(
-                    decl.name,
-                    decl.kind,
-                    "rejected",
-                    0.0,
-                    decl.source_ref,
-                    Diagnostic("error", "duplicate-name", f"duplicate declaration {decl.name}", decl.span),
-                )
-            )
-            continue
-        start = time.perf_counter()
-        try:
-            checker.check_declaration(decl)
-        except CheckFailure as exc:
-            ms = (time.perf_counter() - start) * 1000
-            diag = exc.diagnostic
-            if diag.span == Span(0, 0):
-                diag = Diagnostic(diag.severity, diag.code, f"{decl.name}: {diag.message}", decl.span)
-            report.declarations.append(
-                DeclReport(decl.name, decl.kind, "rejected", ms, decl.source_ref, diag)
-            )
-        else:
-            ms = (time.perf_counter() - start) * 1000
-            report.declarations.append(
-                DeclReport(decl.name, decl.kind, "accepted", ms, decl.source_ref)
-            )
-    return report

@@ -9,9 +9,12 @@ bad flag, exhausted stack or memory, kernel invariant broken).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import sys
+from typing import NoReturn
 
 from .diagnostics import CheckFailure
 from .evaluate import KernelBug, quote
@@ -159,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return COMMANDS[args.command](args)
     except CheckFailure as exc:
-        print(f"error: {exc.diagnostic.format()}", file=sys.stderr)
+        print(f"error: {exc.diagnostic.format(exc.file)}", file=sys.stderr)
         return EXIT_USAGE
     except (RecursionError, MemoryError, KernelBug) as exc:
         # The checker ran out of stack or memory, or broke an invariant:
@@ -171,5 +174,35 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def console_main() -> NoReturn:
+    """Run `main` as the whole process: the `minihott` command and
+    `python -m minihott` both start here.
+
+    The cyclic garbage collector stays off from here to the exit: the
+    kernel creates no reference cycles (tests/test_kernel.py checks
+    this) and argparse leaves a few hundred at most, so a collection
+    would only walk the memo tables.  The process ends with `os._exit`
+    once the output is flushed: the operating system takes the memory
+    back at once, where the interpreter's own exit would free every memo
+    entry, value and term one at a time.
+
+    A flush that fails (say, a closed pipe) exits 2, with an `error:`
+    line unless `main` already exited 2 with one, as it does when a write
+    failed while the command ran.
+    """
+    gc.disable()
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when started with the descriptor closed
+                stream.flush()
+    except OSError as exc:
+        if code != EXIT_USAGE:
+            with contextlib.suppress(OSError):  # stderr may be gone as well
+                print(f"error: {exc}", file=sys.stderr, flush=True)
+        code = EXIT_USAGE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagnostics import Span
 from .terms import Term
@@ -18,10 +18,3 @@ class Declaration:
     body: Term | None  # absent exactly for axioms
     span: Span = Span(0, 0)
     source_ref: str = ""  # free-text lemma tag carried from the surface file
-
-
-@dataclass
-class ModuleTags:
-    """File-level pragmas (`--! tag`), e.g. requires-ua, requires-funext."""
-
-    tags: list[str] = field(default_factory=list)

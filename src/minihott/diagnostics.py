@@ -38,9 +38,11 @@ class Diagnostic:
 
 
 class CheckFailure(Exception):
-    """Raised internally by the checker; always carries a Diagnostic."""
+    """Raised internally by the checker; always carries a Diagnostic, and
+    the name of the file it is in once that is known."""
 
-    def __init__(self, diagnostic: Diagnostic):
+    def __init__(self, diagnostic: Diagnostic, file: str = "<input>"):
         super().__init__(diagnostic.message)
         self.diagnostic = diagnostic
+        self.file = file
 

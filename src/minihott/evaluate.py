@@ -14,13 +14,24 @@ class KernelBug(Exception):
 # Environments at closure-application boundaries are interned
 # (values.intern_env), terms are immutable syntax shared per parse, and
 # globals are append-only, so a cached result never goes stale.  The
-# retain list pins keyed objects so their ids are not recycled.
+# retain list pins keyed objects so their ids are not recycled.  A
+# variable or a reference is not memoized: it evaluates to an object
+# that already exists (an element of the environment, or the glued or
+# axiom value `Globals` holds for the name), the very object a memo
+# entry would return, so an entry would cost memory and save nothing.
 _memo: dict = {}
 _retain: list = []
 _MEMO_LIMIT = 4_000_000
 
 
 def evaluate(glob, env: tuple, term: t.Term) -> v.Value:
+    kind = type(term)
+    if kind is t.Var:
+        if term.index >= len(env):
+            raise KernelBug(f"unbound de Bruijn index {term.index} at depth {len(env)}")
+        return env[-1 - term.index]
+    if kind is t.Ref:
+        return glob.value_of(term.name)
     key = (id(glob), id(env), id(term))
     result = _memo.get(key)
     if result is None:
@@ -37,10 +48,6 @@ def evaluate(glob, env: tuple, term: t.Term) -> v.Value:
 
 def _evaluate(glob, env: tuple, term: t.Term) -> v.Value:
     match term:
-        case t.Var(index):
-            if index >= len(env):
-                raise KernelBug(f"unbound de Bruijn index {index} at depth {len(env)}")
-            return env[-1 - index]
         case t.Univ(level):
             return v.VUniv(level)
         case t.Pi(dom, cod):
@@ -105,8 +112,6 @@ def _evaluate(glob, env: tuple, term: t.Term) -> v.Value:
                 evaluate(glob, env, if1),
                 evaluate(glob, env, target),
             )
-        case t.Ref(name):
-            return glob.value_of(name)
         case t.Ann(term_, _):
             return evaluate(glob, env, term_)
         case _:
@@ -121,12 +126,6 @@ def apply(fn: v.Value, arg: v.Value) -> v.Value:
             return fn.extend(v.AppF(arg))
         case _:
             raise KernelBug(f"apply of non-function value {type(fn).__name__}")
-
-
-def apply_many(fn: v.Value, *args: v.Value) -> v.Value:
-    for a in args:
-        fn = apply(fn, a)
-    return fn
 
 
 def project_fst(pair: v.Value) -> v.Value:

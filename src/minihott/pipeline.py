@@ -39,7 +39,10 @@ def check_source(source: str, glob: Globals, file: str = "<input>") -> FileResul
     """Parse, resolve and check one file against (and extending) `glob`."""
     import time
 
-    module = parse_module(source)
+    try:
+        module = parse_module(source)
+    except CheckFailure as exc:
+        raise CheckFailure(exc.diagnostic, file) from None
     result = FileResult(CheckReport(file=file), pragmas=list(module.pragmas))
     checker = Checker(glob)
     known = glob.names()

@@ -6,7 +6,6 @@ import difflib
 
 from . import surface as s
 from . import terms as t
-from .decls import Declaration
 from .diagnostics import CheckFailure, Diagnostic, Span
 
 _CONST_TERMS: dict[str, t.Term] = {
@@ -126,28 +125,3 @@ class Resolver:
         if len(names) < count:
             self.fail(f"{what} must be a function of {count} argument(s)", term.span)
         return self.resolve(env + tuple(names), body)
-
-
-def resolve_term(term: s.STerm, global_names: set[str], env: tuple[str, ...] = ()) -> t.Term:
-    return Resolver(global_names).resolve(env, term)
-
-
-def resolve_module(module: s.SModule, global_names: set[str]) -> list[Declaration]:
-    """Resolve a module's declarations in order; each declaration may refer
-    to earlier ones and to `global_names`."""
-    known = set(global_names)
-    seen = set(global_names)
-    resolver = Resolver(known)
-    out: list[Declaration] = []
-    for decl in module.decls:
-        if decl.name in seen:
-            raise CheckFailure(
-                Diagnostic("error", "resolve", f"duplicate declaration {decl.name!r}", decl.span)
-            )
-        ty = resolver.resolve((), decl.ty)
-        body = resolver.resolve((), decl.body) if decl.body is not None else None
-        out.append(Declaration(decl.kind, decl.name, ty, body, decl.span, decl.source_ref))
-        seen.add(decl.name)
-        if decl.kind != "goal":  # goals prove something but bind no name
-            known.add(decl.name)
-    return out

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, generation
 idempotence, and the report-schema contract."""
 
+import gc
 import json
 import os
 import pathlib
@@ -48,6 +49,16 @@ def test_parse_error_exits_two(tmp_path, capsys):
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.hott")]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("code,text", [("lex", "def a : Unit := $\n"), ("parse", PARSE_ERROR)])
+def test_lex_and_parse_errors_name_the_file(tmp_path, capsys, code, text):
+    good = write(tmp_path, "good.hott", GOOD)
+    bad = write(tmp_path, f"{code}.hott", text)
+    assert main(["check", good, bad]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:") and f"error [{code}]" in err
+    assert err.count("\n") == 1
 
 
 def test_exhausted_stack_is_an_internal_error_without_traceback(tmp_path):
@@ -251,3 +262,97 @@ def test_gen_level_controls_file_count(tmp_path, capsys, level, expected_files):
     out = tmp_path / f"c{level}"
     assert main(["gen", "--level", str(level), "--out", str(out)]) == EXIT_OK
     assert len(snapshot(out)) == expected_files
+
+
+# --- the process: `python -m minihott` exits through `console_main` ---
+
+
+def run_process(*args, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m minihott ARGS` with block-buffered output, as by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, "-m", "minihott", *args], text=True, env=env, timeout=120, **kwargs
+    )
+
+
+PRELUDE = sorted(str(p) for p in (ROOT / "corpus" / "generated" / "prelude").glob("*.hott"))
+
+
+@pytest.mark.parametrize("accepted", [True, False])
+def test_json_report_written_to_a_pipe_is_complete(tmp_path, accepted):
+    # The prelude's report is larger than the output buffer, BAD's smaller.
+    files = PRELUDE if accepted else [write(tmp_path, "mixed.hott", GOOD + BAD)]
+    done = run_process("--format", "json", "check", *files)
+    assert done.returncode == (EXIT_OK if accepted else EXIT_REJECTED), done.stderr
+    assert done.stderr == ""
+    reports = json.loads(done.stdout)["reports"]
+    assert [r["file"] for r in reports] == files
+    assert all(r["totals"]["rejected"] == (0 if accepted else 1) for r in reports)
+
+
+@pytest.mark.parametrize("json_format", [False, True])
+def test_closed_stdout_exits_two_with_one_error_line(tmp_path, json_format):
+    # Text output fits the buffer and fails at the final flush; the JSON
+    # report does not, and fails while the command writes it.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        if json_format:
+            done = run_process("--format", "json", "check", *PRELUDE, stdout=write_end)
+        else:
+            done = run_process("check", write(tmp_path, "good.hott", GOOD), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_USAGE
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_closed_stdout_and_stderr_exit_two(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        good = write(tmp_path, "good.hott", GOOD)
+        done = run_process("check", good, stdout=write_end, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_USAGE
+
+
+def test_gen_through_the_process_matches_checked_in_corpus(tmp_path):
+    out = tmp_path / "corpus"
+    done = run_process("gen", "--level", "2", "--out", str(out))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert snapshot(out) == snapshot(ROOT / "corpus" / "generated")
+
+
+def test_both_entry_points_run_console_main():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert 'minihott = "minihott.cli:console_main"' in pyproject
+    # `python -m minihott` reaches `main` with the collector off and exits
+    # with its code.
+    probe = (
+        "import gc, runpy, minihott.cli as cli\n"
+        "cli.main = lambda: print(gc.isenabled()) or 3\n"
+        "runpy.run_module('minihott', run_name='__main__')\n"
+        "print('not reached')"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (3, "False\n", "")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_in_process_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["check", write(tmp_path, "good.hott", GOOD)]) == EXIT_OK
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

@@ -7,10 +7,11 @@ import threading
 import pytest
 from conftest import check_one
 
+from minihott import terms as t
 from minihott import values as v
 from minihott.conversion import conv
 from minihott.corpus.manifest import emit_corpus
-from minihott.evaluate import evaluate, normalize, quote
+from minihott.evaluate import KernelBug, evaluate, normalize, quote
 from minihott.globals import Config, Globals
 from minihott.parser import parse_module
 from minihott.pipeline import check_source, run_deep
@@ -73,6 +74,11 @@ def test_axioms_are_stuck():
     glob, value = eval_term("opaque Two", "axiom opaque : U0 -> U0")
     assert isinstance(value, v.VNeutral)
     assert value.head == v.VAxiom("opaque")
+
+
+def test_unbound_variable_is_a_kernel_bug():
+    with pytest.raises(KernelBug, match="unbound de Bruijn index 1 at depth 1"):
+        evaluate(Globals(Config()), (v.fresh(0),), t.Var(1))
 
 
 def test_normalize_is_idempotent_on_samples():
