@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import terms as t
 from . import values as v
 from .conversion import conv, subtype
 from .decls import Declaration
 from .diagnostics import CheckFailure, Diagnostic, Span
-from .evaluate import evaluate, quote, whnf
+from .evaluate import evaluate, project_fst, quote, whnf
 from .globals import Globals
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Context:
     """Ordered telescope of binder types plus the matching neutral environment."""
 
@@ -37,14 +36,18 @@ class Context:
         return self.entries[-1 - index][1]
 
 
-@dataclass
 class DeclReport:
-    name: str
-    kind: str
-    status: str  # "accepted" | "rejected"
-    ms: float
-    source_ref: str = ""
-    diagnostic: Diagnostic | None = None
+    __slots__ = ("name", "kind", "status", "ms", "source_ref", "diagnostic")
+
+    def __init__(
+        self, name: str, kind: str, status: str, ms: float, source_ref: str, diagnostic: Diagnostic | None = None
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.status = status  # "accepted" | "rejected"
+        self.ms = ms
+        self.source_ref = source_ref
+        self.diagnostic = diagnostic
 
     def to_json(self) -> dict:
         out = {
@@ -59,10 +62,12 @@ class DeclReport:
         return out
 
 
-@dataclass
 class CheckReport:
-    file: str = "<input>"
-    declarations: list[DeclReport] = field(default_factory=list)
+    __slots__ = ("file", "declarations")
+
+    def __init__(self, file: str = "<input>") -> None:
+        self.file = file
+        self.declarations: list[DeclReport] = []
 
     @property
     def accepted(self) -> int:
@@ -160,8 +165,6 @@ class Checker:
                 pair_ty = whnf(self.infer(ctx, pair))
                 if not isinstance(pair_ty, v.VSigma):
                     self.fail("not-a-pair", f"snd of a term of type {self.show(ctx, pair_ty)}")
-                from .evaluate import project_fst
-
                 return pair_ty.snd_ty(project_fst(self.eval_in(ctx, pair)))
             case t.Id(ty, lhs, rhs):
                 ty_v, level = self.infer_type(ctx, ty, "identity-type carrier")

@@ -18,7 +18,7 @@ from typing import NoReturn
 
 from .diagnostics import CheckFailure
 from .evaluate import KernelBug, quote
-from .globals import Config
+from .globals import DEFAULT_MAX_LEVEL, Config
 from .pipeline import check_files, run_deep
 from .printer import print_term
 
@@ -65,7 +65,7 @@ def _kernel_flags(parser: argparse.ArgumentParser) -> None:
 def _config(args: argparse.Namespace) -> Config:
     max_level = getattr(args, "max_level", None)
     if max_level is None:
-        max_level = int(os.environ.get(MAX_LEVEL_ENV, Config.max_level))
+        max_level = int(os.environ.get(MAX_LEVEL_ENV, DEFAULT_MAX_LEVEL))
     return Config(max_level=max_level, eta_sigma=getattr(args, "eta_sigma", True))
 
 
@@ -162,16 +162,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return COMMANDS[args.command](args)
     except CheckFailure as exc:
-        print(f"error: {exc.diagnostic.format(exc.file)}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc.diagnostic.format(exc.file))
     except (RecursionError, MemoryError, KernelBug) as exc:
         # The checker ran out of stack or memory, or broke an invariant:
         # no verdict on the input, so not a rejection.
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"internal error: {type(exc).__name__}: {exc}")
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc)
+
+
+def _error(message) -> int:
+    """Write one `error:` line to stderr, if it can be written, and return
+    the usage exit code: a closed or broken stderr must not turn a usage
+    or environment error into a traceback or another exit code."""
+    if sys.stderr is not None:  # None when started with the descriptor closed
+        with contextlib.suppress(OSError):
+            print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def console_main() -> NoReturn:
@@ -198,9 +205,7 @@ def console_main() -> NoReturn:
                 stream.flush()
     except OSError as exc:
         if code != EXIT_USAGE:
-            with contextlib.suppress(OSError):  # stderr may be gone as well
-                print(f"error: {exc}", file=sys.stderr, flush=True)
-        code = EXIT_USAGE
+            code = _error(exc)
     os._exit(code)
 
 

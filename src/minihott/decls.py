@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagnostics import Span
+from .records import record
 from .terms import Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Declaration:
     """A resolved top-level declaration (core syntax)."""
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import record
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Span:
     start: int
     end: int
@@ -18,7 +18,7 @@ class Span:
         return Span(min(self.start, other.start), max(self.end, other.end))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Diagnostic:
     severity: str  # "error" | "warning"
     code: str

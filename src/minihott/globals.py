@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import values as v
+from .records import record
+
+DEFAULT_MAX_LEVEL = 8
 
 
-@dataclass(frozen=True)
+@record
 class Config:
-    max_level: int = 8
+    max_level: int = DEFAULT_MAX_LEVEL
     eta_sigma: bool = True
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GlobalEntry:
     kind: str  # "def" | "axiom"
     name: str
@@ -22,7 +23,6 @@ class GlobalEntry:
     value: v.Value | None = None  # definitions only: the unfolding
 
 
-@dataclass
 class Globals:
     """Append-only registry of checked definitions and axioms.
 
@@ -31,8 +31,11 @@ class Globals:
     is the definition's value, forced only where its shape is needed.
     """
 
-    config: Config = field(default_factory=Config)
-    entries: dict[str, GlobalEntry] = field(default_factory=dict)
+    __slots__ = ("config", "entries")
+
+    def __init__(self, config: Config | None = None) -> None:
+        self.config = Config() if config is None else config
+        self.entries: dict[str, GlobalEntry] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self.entries

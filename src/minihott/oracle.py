@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import time
+
+from .records import record
 
 DEFAULT_BOUND = 4
 MAX_BOUND = 6
 
 
-@dataclass(frozen=True)
+@record
 class FinSet:
     """A finite set {0, .., size-1} with a display label."""
 
@@ -35,7 +37,7 @@ class FinSet:
         return range(self.size)
 
 
-@dataclass(frozen=True)
+@record
 class FinBij:
     """A bijection: `mapping[i]` is the image of element i of `domain`."""
 
@@ -99,12 +101,14 @@ def _check_bound(bound: int) -> None:
 # --- reporting ---
 
 
-@dataclass
 class OracleReport:
-    suite: str
-    cases: int = 0
-    counterexamples: list[str] = field(default_factory=list)
-    ms: float = 0.0
+    __slots__ = ("suite", "cases", "counterexamples", "ms")
+
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
+        self.cases = 0
+        self.counterexamples: list[str] = []
+        self.ms = 0.0
 
     @property
     def ok(self) -> bool:
@@ -286,7 +290,7 @@ def check_commutation_witnesses() -> OracleReport:
 # --- Σ/Ω cardinality shadows ---
 
 
-@dataclass(frozen=True)
+@record
 class PointedFamilyInstance:
     """A pointed base set with a constant fiber: the dimension-1 shadow of
     a pointed family over a pointed type."""
@@ -367,8 +371,6 @@ SUITES = {
 
 def run_suites(names: list[str] | None = None, bound: int = DEFAULT_BOUND) -> list[OracleReport]:
     """Run the named suites (all by default) in declaration order."""
-    import time
-
     _check_bound(bound)
     selected = list(SUITES) if names is None else names
     unknown = [n for n in selected if n not in SUITES]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import sys
 import threading
-from dataclasses import dataclass, field
+import time
 
 from .checker import Checker, CheckReport, DeclReport
 from .decls import Declaration
@@ -22,13 +22,15 @@ from .printer import RESERVED_NAME
 from .resolver import Resolver
 
 
-@dataclass
 class FileResult:
     """Outcome of running one source file through the pipeline."""
 
-    report: CheckReport
-    pragmas: list[str] = field(default_factory=list)
-    declarations: list[Declaration] = field(default_factory=list)
+    __slots__ = ("report", "pragmas", "declarations")
+
+    def __init__(self, report: CheckReport, pragmas: list[str]) -> None:
+        self.report = report
+        self.pragmas = pragmas
+        self.declarations: list[Declaration] = []
 
     @property
     def ok(self) -> bool:
@@ -37,13 +39,11 @@ class FileResult:
 
 def check_source(source: str, glob: Globals, file: str = "<input>") -> FileResult:
     """Parse, resolve and check one file against (and extending) `glob`."""
-    import time
-
     try:
         module = parse_module(source)
     except CheckFailure as exc:
         raise CheckFailure(exc.diagnostic, file) from None
-    result = FileResult(CheckReport(file=file), pragmas=list(module.pragmas))
+    result = FileResult(CheckReport(file), list(module.pragmas))
     checker = Checker(glob)
     known = glob.names()
     resolver = Resolver(known)

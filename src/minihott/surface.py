@@ -2,28 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagnostics import Span
+from .records import record
 
 
 class STerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SVar(STerm):
     name: str
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SUniv(STerm):
     level: int
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SPi(STerm):
     binder: str | None  # None for the non-dependent arrow
     dom: STerm
@@ -31,7 +30,7 @@ class SPi(STerm):
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SSigma(STerm):
     binder: str | None
     fst_ty: STerm
@@ -39,35 +38,35 @@ class SSigma(STerm):
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SLam(STerm):
     names: tuple[str, ...]
     body: STerm
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SApp(STerm):
     fn: STerm
     arg: STerm
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SPair(STerm):
     fst: STerm
     snd: STerm
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SAnn(STerm):
     term: STerm
     ty: STerm
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SConst(STerm):
     """Nullary builtin: Nat, Empty, Unit, Two, star, zero2, one2."""
 
@@ -75,13 +74,13 @@ class SConst(STerm):
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SNatLit(STerm):
     value: int
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SElim(STerm):
     """Fixed-arity builtin head: fst, snd, suc, refl, Id, J, natElim, twoElim, emptyElim."""
 
@@ -90,7 +89,7 @@ class SElim(STerm):
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SDecl:
     kind: str  # "def" | "axiom" | "goal"
     name: str
@@ -100,7 +99,11 @@ class SDecl:
     source_ref: str = ""
 
 
-@dataclass
 class SModule:
-    decls: list[SDecl] = field(default_factory=list)
-    pragmas: list[str] = field(default_factory=list)
+    """A parsed file: its declarations and `--!` pragmas, in source order."""
+
+    __slots__ = ("decls", "pragmas")
+
+    def __init__(self) -> None:
+        self.decls: list[SDecl] = []
+        self.pragmas: list[str] = []

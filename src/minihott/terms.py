@@ -8,97 +8,97 @@ variable; `J.motive` binds three (endpoint, endpoint, path); `J.base`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import record
 
 
 class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Var(Term):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Univ(Term):
     level: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Pi(Term):
     dom: Term
     cod: Term  # binds 1
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Lam(Term):
     body: Term  # binds 1
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Sigma(Term):
     fst_ty: Term
     snd_ty: Term  # binds 1
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Fst(Term):
     pair: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Snd(Term):
     pair: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Id(Term):
     ty: Term
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Refl(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class J(Term):
     motive: Term  # binds 3: (x, y, p : Id x y)
     base: Term  # binds 1: (x)
     path: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Nat(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Suc(Term):
     pred: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NatElim(Term):
     motive: Term  # binds 1
     base: Term
@@ -106,43 +106,43 @@ class NatElim(Term):
     target: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Empty(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EmptyElim(Term):
     motive: Term  # binds 1
     target: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Unit(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Star(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Two(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Bit0(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Bit1(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TwoElim(Term):
     motive: Term  # binds 1
     if0: Term
@@ -150,14 +150,14 @@ class TwoElim(Term):
     target: Term
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Ref(Term):
     """Reference to a top-level definition or axiom."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Ann(Term):
     term: Term
     ty: Term

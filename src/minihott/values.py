@@ -4,16 +4,20 @@ Values are weak-head normal, up to delta: closures delay bodies,
 neutrals carry a head (a de Bruijn *level* or an axiom name) and a spine
 of pending eliminations, and a glued value (`VGlued`) stands for a
 definition under a spine of eliminations whose unfolding is computed
-only when forced.  Values are immutable and may be shared freely; the
-one mutable slot, a glued value's cached unfolding, is written at most
-once and always with the same result.
+only when forced.  Values are immutable and may be shared freely.  Every
+class here but `VGlued` is a `records.record`: its fields live in slots
+that only `__init__` writes, and assigning or deleting one afterwards
+raises `AttributeError`.  `VGlued` is a plain slotted class compared by
+identity; its one mutable slot, the cached unfolding, is written at most
+once and always with the same result, and nothing writes its other slots
+after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .records import record
 from .terms import Term
 
 if TYPE_CHECKING:
@@ -24,7 +28,7 @@ class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Closure:
     """A term body of `arity` binders over a captured environment."""
 
@@ -38,87 +42,87 @@ class Closure:
         return _evaluate.evaluate(self.glob, intern_env(self.env + args), self.body)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VUniv(Value):
     level: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VPi(Value):
     dom: Value
     cod: Closure
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VLam(Value):
     body: Closure
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VSigma(Value):
     fst_ty: Value
     snd_ty: Closure
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VPair(Value):
     fst: Value
     snd: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VId(Value):
     ty: Value
     lhs: Value
     rhs: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VRefl(Value):
     arg: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VNat(Value):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VZero(Value):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VSuc(Value):
     pred: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VEmpty(Value):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VUnit(Value):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VStar(Value):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VTwo(Value):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VBit0(Value):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VBit1(Value):
     pass
 
@@ -126,57 +130,57 @@ class VBit1(Value):
 # --- neutral heads and spine frames ---
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VVar:
     level: int  # de Bruijn level
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VAxiom:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AppF:
     arg: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FstF:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SndF:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class JF:
     motive: Closure  # arity 3
     base: Closure  # arity 1
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NatElimF:
     motive: Closure  # arity 1
     base: Value
     step: Closure  # arity 2
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TwoElimF:
     motive: Closure  # arity 1
     if0: Value
     if1: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EmptyElimF:
     motive: Closure  # arity 1
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VNeutral(Value):
     head: VVar | VAxiom
     spine: tuple = ()
@@ -185,7 +189,6 @@ class VNeutral(Value):
         return VNeutral(self.head, self.spine + (frame,))
 
 
-@dataclass(eq=False, slots=True)
 class VGlued(Value):
     """The definition `name` under the eliminations in `spine`.
 
@@ -195,13 +198,17 @@ class VGlued(Value):
     in `unfolded` from the start; an extension holds its `parent` and
     the last `frame`, and its unfolding is that frame applied to the
     parent's unfolding, cached here the first time it is forced.
+    Glued values compare by identity.
     """
 
-    name: str
-    spine: tuple
-    parent: VGlued | None
-    frame: object
-    unfolded: Value | None
+    __slots__ = ("name", "spine", "parent", "frame", "unfolded")
+
+    def __init__(self, name: str, spine: tuple, parent: VGlued | None, frame, unfolded: Value | None):
+        self.name = name
+        self.spine = spine
+        self.parent = parent
+        self.frame = frame
+        self.unfolded = unfolded
 
     def extend(self, frame) -> "VGlued":
         return VGlued(self.name, self.spine + (frame,), self, frame, None)

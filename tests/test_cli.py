@@ -164,17 +164,22 @@ def test_oracle_bound_defaults_to_the_oracle_default(monkeypatch, capsys):
 
 
 def test_importing_the_cli_leaves_out_the_oracle_and_the_generator():
+    # `dataclasses` imports `inspect` and compiles the methods of every
+    # class at start-up: no module of the package may import it.
     probe = (
         "import sys, minihott.cli as cli\n"
         "assert callable(cli.quote) and callable(cli.print_term) and callable(cli.run_deep)\n"
-        "print(sorted(m for m in ('minihott.oracle', 'minihott.corpus.manifest') if m in sys.modules))"
+        "modules = ('minihott.oracle', 'minihott.corpus.manifest', 'dataclasses')\n"
+        "print(sorted(m for m in modules if m in sys.modules))\n"
+        "import minihott.oracle, minihott.corpus.manifest\n"
+        "print('dataclasses' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\nFalse\n"
 
 
 # --- normalize ---
@@ -311,15 +316,28 @@ def test_closed_stdout_exits_two_with_one_error_line(tmp_path, json_format):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
-def test_closed_stdout_and_stderr_exit_two(tmp_path):
+@pytest.mark.parametrize("text", [GOOD, "def a : Unit := $\n"], ids=["accepted", "lex-error"])
+def test_closed_stdout_and_stderr_exit_two(tmp_path, text):
+    # With the lex error, writing the error line itself fails.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        good = write(tmp_path, "good.hott", GOOD)
-        done = run_process("check", good, stdout=write_end, stderr=write_end)
+        done = run_process("check", write(tmp_path, "in.hott", text), stdout=write_end, stderr=write_end)
     finally:
         os.close(write_end)
     assert done.returncode == EXIT_USAGE
+
+
+def test_error_with_stderr_closed_at_start_exits_two_and_keeps_stdout_clean(tmp_path):
+    # The interpreter then sets `sys.stderr` to None, and `print(file=None)`
+    # would write the error line to stdout.
+    lex_error = write(tmp_path, "lex.hott", "def a : Unit := $\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "minihott", "check", lex_error],
+        stdout=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
 
 
 def test_gen_through_the_process_matches_checked_in_corpus(tmp_path):
