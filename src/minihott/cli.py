@@ -14,13 +14,15 @@ import gc
 import json
 import os
 import sys
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from .diagnostics import CheckFailure
-from .evaluate import KernelBug, quote
-from .globals import DEFAULT_MAX_LEVEL, Config
-from .pipeline import check_files, run_deep
-from .printer import print_term
+from .diagnostics import CheckFailure, KernelBug
+
+if TYPE_CHECKING:
+    from .evaluate import quote
+    from .globals import Config
+    from .pipeline import check_files, run_deep
+    from .printer import print_term
 
 MAX_LEVEL_ENV = "MINIHOTT_MAX_LEVEL"
 
@@ -62,7 +64,35 @@ def _kernel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-level", type=int, default=None)
 
 
+# The kernel's entry points, bound as module globals by `_load_kernel` on the
+# first `check` or `normalize`: `gen` and `oracle` never import the kernel.
+_KERNEL_NAMES = ("quote", "print_term", "check_files", "run_deep")
+
+
+def _load_kernel() -> None:
+    """Bind the kernel's entry points in this module, keeping any binding
+    that is already there: a caller may have replaced one with a wrapper
+    (perfbench/traced_cli.py does) before the command runs."""
+    from .evaluate import quote
+    from .pipeline import check_files, run_deep
+    from .printer import print_term
+
+    bindings = globals()
+    for name, value in zip(_KERNEL_NAMES, (quote, print_term, check_files, run_deep)):
+        bindings.setdefault(name, value)
+
+
+def __getattr__(name: str):
+    # PEP 562: reading `cli.quote` and the like from outside loads the kernel.
+    if name in _KERNEL_NAMES:
+        _load_kernel()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _config(args: argparse.Namespace) -> Config:
+    from .globals import DEFAULT_MAX_LEVEL, Config
+
     max_level = getattr(args, "max_level", None)
     if max_level is None:
         max_level = int(os.environ.get(MAX_LEVEL_ENV, DEFAULT_MAX_LEVEL))
@@ -70,6 +100,7 @@ def _config(args: argparse.Namespace) -> Config:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    _load_kernel()
     config = _config(args)
     results, _ = run_deep(lambda: check_files(args.files, config))
     reports = [r.report for r in results]
@@ -89,6 +120,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
+    _load_kernel()
     config = _config(args)
 
     def run():

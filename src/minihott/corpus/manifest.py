@@ -1,11 +1,12 @@
-"""Corpus manifest: file ordering, source-notation table, generation, checking.
+"""Corpus manifest: file ordering, source-notation table, generation.
 
 The manifest lists every corpus file in dependency order together with
 its pragmas and per-declaration source-reference tags, and carries a
 symbol table mapping each piece of source notation to the one corpus
 declaration that realizes it.  `write_corpus` materializes the corpus
-on disk (byte-identical across runs); `check_corpus` drives the kernel
-over the whole corpus in manifest order.
+on disk (byte-identical across runs).  Generation needs no part of the
+kernel, and this module imports none: `minihott check` over the written
+files is what checks the corpus.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from __future__ import annotations
 import json
 import os
 
-from ..checker import CheckReport
-from ..globals import Config, Globals
-from ..pipeline import check_source, run_deep
 from . import generic, levels, prelude
 from .build import HottFile
 
@@ -114,18 +112,3 @@ def _write_if_changed(path: str, content: str) -> None:
     with open(path, "wb") as handle:
         handle.write(data)
 
-
-def check_corpus(
-    n_max: int = MAX_SUPPORTED_LEVEL, config: Config | None = None
-) -> list[CheckReport]:
-    """Emit and check the whole corpus in manifest order."""
-
-    def run() -> list[CheckReport]:
-        glob = Globals(config or Config())
-        reports = []
-        for f in emit_corpus(n_max):
-            result = check_source(f.render(), glob, file=f.relpath)
-            reports.append(result.report)
-        return reports
-
-    return run_deep(run)

@@ -1,4 +1,5 @@
-"""Diagnostics and source spans shared by the parser, resolver and checker."""
+"""Diagnostics, source spans and the kernel's exceptions, shared by the
+parser, resolver, checker and CLI."""
 
 from __future__ import annotations
 
@@ -46,3 +47,6 @@ class CheckFailure(Exception):
         self.diagnostic = diagnostic
         self.file = file
 
+
+class KernelBug(Exception):
+    """Internal invariant violation (ill-scoped term reached eval)."""

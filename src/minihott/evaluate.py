@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from . import terms as t
 from . import values as v
-
-
-class KernelBug(Exception):
-    """Internal invariant violation (ill-scoped term reached eval)."""
-
+from .diagnostics import KernelBug
 
 # Evaluation is memoized on (globals, environment, term) identity.
 # Environments at closure-application boundaries are interned

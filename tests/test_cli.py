@@ -182,6 +182,68 @@ def test_importing_the_cli_leaves_out_the_oracle_and_the_generator():
     assert done.stdout == "[]\nFalse\n"
 
 
+KERNEL_MODULES = tuple(
+    f"minihott.{name}"
+    for name in (
+        "evaluate", "values", "terms", "checker", "conversion",
+        "pipeline", "parser", "printer", "resolver", "globals",
+    )
+)
+
+
+def run_probe(probe: str) -> list:
+    """Run `probe` in a fresh interpreter; it prints a JSON value last."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_gen_and_oracle_load_no_kernel(tmp_path):
+    probe = (
+        "import json, sys\n"
+        "import minihott.cli as cli\n"
+        f"kernel = {KERNEL_MODULES!r}\n"
+        "loaded = lambda: sorted(m for m in kernel if m in sys.modules)\n"
+        "seen = [loaded()]\n"
+        "assert cli.main(['oracle', '--suite', 'enumeration']) == 0\n"
+        "seen.append(loaded())\n"
+        f"assert cli.main(['gen', '--level', '0', '--out', {str(tmp_path / 'gen')!r}]) == 0\n"
+        "seen.append(loaded())\n"
+        "cli.quote  # reading a kernel entry point loads the kernel\n"
+        "seen.append(loaded())\n"
+        "print(json.dumps(seen))"
+    )
+    assert run_probe(probe) == [[], [], [], sorted(KERNEL_MODULES)]
+
+
+def test_rebound_kernel_entry_points_route_every_call(tmp_path):
+    # What perfbench/traced_cli.py does: wrap `cli.quote`, `cli.print_term`
+    # and `cli.run_deep` before `main` runs; loading the kernel on the first
+    # command must keep the wrappers.
+    path = write(tmp_path, "good.hott", GOOD)
+    probe = (
+        "import json\n"
+        "import minihott.cli as cli\n"
+        "calls = []\n"
+        "def spy(name, real):\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        calls.append(name)\n"
+        "        return real(*args, **kwargs)\n"
+        "    return wrapper\n"
+        "for name in ('quote', 'print_term', 'run_deep'):\n"
+        "    setattr(cli, name, spy(name, getattr(cli, name)))\n"
+        f"codes = [cli.main(['normalize', {path!r}, '--name', 'idTwo']),\n"
+        f"         cli.main(['check', {path!r}])]\n"
+        "print(json.dumps([codes, calls]))"
+    )
+    codes, calls = run_probe(probe)
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert calls == ["run_deep", "quote", "print_term", "run_deep"]
+
+
 # --- normalize ---
 
 

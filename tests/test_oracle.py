@@ -87,7 +87,7 @@ def test_all_suites_pass_within_budget():
     ]
     assert [r.suite for r in reports] == list(oracle.SUITES)
     assert all(r.cases > 0 for r in reports)
-    assert elapsed < 5.0
+    assert elapsed < 2.0
 
 
 def test_suite_reports_are_deterministic_modulo_timing():
@@ -127,6 +127,63 @@ def test_corrupted_composition_is_caught(monkeypatch):
     assert any("p·id != p" in c for c in report.counterexamples)
     # the witness pinpoints a concrete permutation table
     assert any("(" in c and ")" in c for c in report.counterexamples)
+    # Witnesses are formatted only when a case fails, to these exact texts.
+    assert (report.cases, len(report.counterexamples)) == (266, 18)
+    assert report.counterexamples[:5] == [
+        "p·id != p for p=(1, 0)",
+        "p·p⁻¹ != id for p=(1, 0)",
+        "p⁻¹·p != id for p=(1, 0)",
+        "p·id != p for p=(0, 2, 1)",
+        "p·p⁻¹ != id for p=(0, 2, 1)",
+    ]
+
+
+def test_composition_wrong_for_one_pair_breaks_associativity(monkeypatch):
+    """A composition that is wrong only for rot·rot, two non-identity tables
+    whose product is not the identity, still returns a permutation: only
+    associativity can notice, and it must."""
+    real = oracle.compose
+    rot = (1, 2, 0)  # rot·rot is (2, 0, 1)
+
+    def wrong_once(p, q):
+        if p.mapping == q.mapping == rot:
+            return oracle.FinBij(p.domain, q.codomain, (0, 1, 2))
+        return real(p, q)
+
+    monkeypatch.setattr(oracle, "compose", wrong_once)
+    report = oracle.check_groupoid_laws(bound=3)
+    assert not report.ok
+    assert all(c.startswith("associativity fails at ") for c in report.counterexamples)
+    assert report.counterexamples[0] == "associativity fails at (0, 2, 1),(1, 0, 2),(1, 2, 0)"
+
+
+def test_composition_returning_a_non_permutation_is_caught(monkeypatch):
+    """`compose` builds its result without `FinBij`'s permutation check, so
+    a composition that collapses its table must be caught by the laws."""
+
+    def collapsing(p, q):
+        return oracle._composite(p.domain, q.codomain, tuple(q.mapping[0] for _ in p.mapping))
+
+    monkeypatch.setattr(oracle, "compose", collapsing)
+    report = oracle.check_groupoid_laws(bound=3)
+    assert not report.ok
+    assert report.counterexamples[0] == "id·p != p for p=(0, 1)"
+
+
+def test_composites_are_the_validated_bijections():
+    """Every composite `compose` builds unchecked passes `FinBij`'s checks
+    and equals the bijection they accept."""
+    for n in range(oracle.DEFAULT_BOUND + 1):
+        a = oracle.FinSet(n, f"S{n}")
+        auts = oracle.automorphisms(a)
+        for p in auts:
+            for q in auts:
+                composite = oracle.compose(p, q)
+                checked = oracle.FinBij(a, a, tuple(q(p(x)) for x in a.elements))
+                assert composite == checked and hash(composite) == hash(checked)
+                assert repr(composite) == repr(checked)
+    with pytest.raises(ValueError):
+        oracle.compose(oracle.identity(oracle.FinSet(2)), oracle.identity(oracle.FinSet(3)))
 
 
 def test_corrupted_inverse_is_caught(monkeypatch):
