@@ -1,4 +1,4 @@
-"""Declarations, shared between the surface layer and the checker."""
+"""Declarations, shared between the parser and the checker."""
 
 from __future__ import annotations
 

@@ -11,13 +11,6 @@ class Span:
     start: int
     end: int
 
-    @staticmethod
-    def point(pos: int) -> "Span":
-        return Span(pos, pos)
-
-    def merge(self, other: "Span") -> "Span":
-        return Span(min(self.start, other.start), max(self.end, other.end))
-
 
 @record
 class Diagnostic:

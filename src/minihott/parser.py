@@ -1,4 +1,4 @@
-"""Lexer and recursive-descent parser for the surface language.
+"""Lexer and one-pass parser from the surface language to core terms.
 
 Grammar sketch (loosest binding first):
 
@@ -20,46 +20,56 @@ Top level:
 
 Comments start with `--`.  A `--!` comment is a file pragma and a
 `--@` comment attaches a free-text tag to the following declaration.
+
+The parser keeps the scope of local binders and builds `terms` nodes as
+it goes: `Var(index)` for a bound name and `Ref(name)` for any other.
+Which global names exist is known only when a declaration is checked,
+since a rejected declaration binds nothing, so each declaration keeps a
+list of pending checks for `resolver.Resolver.resolve`: an `SVar` for
+each global occurrence and an `SElim` for each eliminator argument with
+too few binders, in the order in which a walk of the declaration's type,
+then its body, meets them.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
+from . import terms as t
+from .decls import Declaration
 from .diagnostics import CheckFailure, Diagnostic, Span
-from .surface import (
-    SAnn,
-    SApp,
-    SConst,
-    SDecl,
-    SElim,
-    SLam,
-    SModule,
-    SNatLit,
-    SPair,
-    SPi,
-    SSigma,
-    STerm,
-    SUniv,
-    SVar,
-)
+from .records import record
 
-ELIM_ARITY = {
-    "fst": 1,
-    "snd": 1,
-    "suc": 1,
-    "refl": 1,
-    "Id": 3,
-    "J": 3,
-    "natElim": 4,
-    "twoElim": 4,
-    "emptyElim": 2,
+_CONST_TERMS: dict[str, t.Term] = {
+    "Nat": t.Nat(),
+    "Empty": t.Empty(),
+    "Unit": t.Unit(),
+    "Two": t.Two(),
+    "star": t.Star(),
+    "zero2": t.Bit0(),
+    "one2": t.Bit1(),
 }
 
-CONSTS = {"Nat", "Empty", "Unit", "Two", "star", "zero2", "one2"}
+CONSTS = set(_CONST_TERMS)
 
-KEYWORDS = {"def", "axiom", "goal", "fun"} | set(ELIM_ARITY) | CONSTS
+# Each elimination head's core node and its arguments: None for a plain
+# one, or (n, what) for one that must be a function of n binders, which
+# the node binds itself.
+ELIMS: dict[str, tuple[type, tuple]] = {
+    "fst": (t.Fst, (None,)),
+    "snd": (t.Snd, (None,)),
+    "suc": (t.Suc, (None,)),
+    "refl": (t.Refl, (None,)),
+    "Id": (t.Id, (None, None, None)),
+    "J": (t.J, ((3, "the J motive"), (1, "the J base case"), None)),
+    "natElim": (t.NatElim, ((1, "the natElim motive"), None, (2, "the natElim step"), None)),
+    "twoElim": (t.TwoElim, ((1, "the twoElim motive"), None, None, None)),
+    "emptyElim": (t.EmptyElim, ((1, "the emptyElim motive"), None)),
+}
+
+DECL_KEYWORDS = {"def", "axiom", "goal"}
+
+KEYWORDS = DECL_KEYWORDS | {"fun"} | set(ELIMS) | CONSTS
 
 # One match per token. Whitespace and plain `--` comments are skipped by the
 # leading part; `bad` takes any other character and `eof` the end, so the
@@ -82,11 +92,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-
-class Token(NamedTuple):
-    kind: str  # "ident" | "kw" | "univ" | "num" | "pragma" | "srcref" | literal punct | "eof"
-    text: str
-    span: Span
+# A token: (kind, text, start, end). The kind is "ident", "kw", "univ",
+# "num", "pragma", "srcref", the punctuation itself, or "eof".
+Token = tuple[str, str, int, int]
 
 
 def tokenize(source: str) -> list[Token]:
@@ -105,201 +113,260 @@ def tokenize(source: str) -> list[Token]:
             text = text[3:].strip()
         elif kind == "bad":
             raise CheckFailure(
-                Diagnostic("error", "lex", f"unexpected character {text!r}", Span.point(start))
+                Diagnostic("error", "lex", f"unexpected character {text!r}", Span(start, start))
             )
-        append(Token(kind, text, Span(start, m.end())))
+        # The token's group ends the pattern, so it ends where the match does.
+        append((kind, text, start, m.end()))
         if kind == "eof":  # else `finditer` goes on to an empty match at the end
             break
     return tokens
 
 
+@record
+class SVar:
+    """A name the parser did not find among the local binders: checked
+    against the global names when its declaration is."""
+
+    name: str
+    span: Span
+    scope: tuple[str, ...]  # the local names in scope, for the did-you-mean hint
+
+
+@record
+class SElim:
+    """An eliminator argument with fewer binders than it must take:
+    rejected when its declaration is checked."""
+
+    what: str  # e.g. "the J motive"
+    count: int  # the binders it must take
+    span: Span
+
+
+class Module:
+    """A parsed file, in source order: its declarations, the pending
+    checks of each (see the module docstring) and its `--!` pragmas."""
+
+    __slots__ = ("decls", "pending", "pragmas")
+
+    def __init__(self) -> None:
+        self.decls: list[Declaration] = []
+        self.pending: list[list[SVar | SElim]] = []
+        self.pragmas: list[str] = []
+
+
 class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
-        self.pos = 0
+        self.pos = 0  # never passes `eof`, the last token
+        self.scope: tuple[str, ...] = ()  # bound names, innermost first
+        self.pending: list[SVar | SElim] = []  # the current declaration's pending checks
+        self.end = 0  # where the span of the term parsed last ends
 
     # -- token helpers -------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        if offset == 0:  # the cursor never passes `eof`, the last token
-            return self.tokens[self.pos]
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        t = self.peek()
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
     def expect(self, kind: str, what: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            self.fail(f"expected {what}, found {t.text!r}" if t.text else f"expected {what}", t.span)
-        return self.next()
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            text = tok[1]
+            self.fail(f"expected {what}, found {text!r}" if text else f"expected {what}", tok)
+        self.pos += 1
+        return tok
 
-    def fail(self, message: str, span: Span) -> None:
-        raise CheckFailure(Diagnostic("error", "parse", message, span))
+    def fail(self, message: str, tok: Token) -> None:
+        raise CheckFailure(Diagnostic("error", "parse", message, Span(tok[2], tok[3])))
 
     # -- modules and declarations --------------------------------------
 
-    def parse_module(self) -> SModule:
-        module = SModule()
+    def parse_module(self) -> Module:
+        module = Module()
         source_ref = ""
+        tokens = self.tokens
         while True:
-            t = self.peek()
-            match t.kind:
+            tok = tokens[self.pos]
+            match tok[0]:
                 case "eof":
                     return module
                 case "pragma":
-                    self.next()
-                    module.pragmas.append(t.text)
+                    self.pos += 1
+                    module.pragmas.append(tok[1])
                 case "srcref":
-                    self.next()
-                    source_ref = t.text
-                case "kw" if t.text in ("def", "axiom", "goal"):
-                    module.decls.append(self.parse_decl(source_ref))
+                    self.pos += 1
+                    source_ref = tok[1]
+                case "kw" if tok[1] in DECL_KEYWORDS:
+                    self.parse_decl(module, source_ref)
                     source_ref = ""
                 case _:
-                    self.fail(f"expected a declaration, found {t.text!r}", t.span)
+                    self.fail(f"expected a declaration, found {tok[1]!r}", tok)
 
-    def parse_decl(self, source_ref: str) -> SDecl:
-        kw = self.next()
-        name = self.expect("ident", "a declaration name")
+    def parse_decl(self, module: Module, source_ref: str) -> None:
+        kw = self.tokens[self.pos]
+        self.pos += 1
+        name = self.expect("ident", "a declaration name")[1]
         self.expect(":", "':' after the declaration name")
+        self.pending = []
         ty = self.parse_term()
-        body: STerm | None = None
-        end = ty
-        if kw.text == "axiom":
-            if self.peek().kind == ":=":
-                self.fail("axioms take no body", self.peek().span)
+        body = None
+        if kw[1] == "axiom":
+            tok = self.tokens[self.pos]
+            if tok[0] == ":=":
+                self.fail("axioms take no body", tok)
         else:
             self.expect(":=", "':=' introducing the body")
             body = self.parse_term()
-            end = body
-        return SDecl(kw.text, name.text, ty, body, kw.span.merge(end.span), source_ref)
+        module.decls.append(Declaration(kw[1], name, ty, body, Span(kw[2], self.end), source_ref))
+        module.pending.append(self.pending)
 
     # -- terms ---------------------------------------------------------
 
-    def parse_term(self) -> STerm:
+    def parse_term(self) -> t.Term:
         left = self.parse_times()
-        if self.peek().kind == "->":
-            self.next()
-            cod = self.parse_term()
-            return SPi(None, left, cod, left.span.merge(cod.span))
+        if self.tokens[self.pos][0] == "->":
+            self.pos += 1
+            return t.Pi(left, self.parse_under(("_",), self.parse_term))
         return left
 
-    def parse_times(self) -> STerm:
+    def parse_times(self) -> t.Term:
         left = self.parse_app()
-        if self.peek().kind == "*":
-            self.next()
-            snd = self.parse_times()
-            return SSigma(None, left, snd, left.span.merge(snd.span))
+        if self.tokens[self.pos][0] == "*":
+            self.pos += 1
+            return t.Sigma(left, self.parse_under(("_",), self.parse_times))
         return left
 
-    def parse_app(self) -> STerm:
+    def parse_under(self, names, parse) -> t.Term:
+        """Parse with `names` bound, the last innermost."""
+        outer = self.scope
+        self.scope = tuple(reversed(names)) + outer
+        term = parse()
+        self.scope = outer
+        return term
+
+    def parse_app(self) -> t.Term:
         head = self.parse_atom()
         while self.at_atom():
-            arg = self.parse_atom()
-            head = SApp(head, arg, head.span.merge(arg.span))
+            head = t.App(head, self.parse_atom())
         return head
 
     def at_atom(self) -> bool:
-        t = self.peek()
-        return (
-            t.kind in ("ident", "univ", "num", "(")
-            or (t.kind == "kw" and t.text not in ("def", "axiom", "goal"))
-        )
+        kind, text, _, _ = self.tokens[self.pos]
+        return kind in ("ident", "univ", "num", "(") or (kind == "kw" and text not in DECL_KEYWORDS)
 
-    def parse_atom(self) -> STerm:
-        t = self.peek()
-        match t.kind:
+    def parse_atom(self) -> t.Term:
+        tok = self.tokens[self.pos]
+        kind, text, start, end = tok
+        match kind:
             case "ident":
-                self.next()
-                return SVar(t.text, t.span)
+                self.pos += 1
+                self.end = end
+                scope = self.scope
+                if text in scope:
+                    return t.Var(scope.index(text))
+                self.pending.append(SVar(text, Span(start, end), scope))
+                return t.Ref(text)
             case "univ":
-                self.next()
-                return SUniv(int(t.text[1:]), t.span)
+                self.pos += 1
+                self.end = end
+                return t.Univ(int(text[1:]))
             case "num":
-                self.next()
-                return SNatLit(int(t.text), t.span)
-            case "kw" if t.text in CONSTS:
-                self.next()
-                return SConst(t.text, t.span)
-            case "kw" if t.text in ELIM_ARITY:
-                self.next()
+                self.pos += 1
+                self.end = end
+                return t.nat_literal(int(text))
+            case "kw" if text in CONSTS:
+                self.pos += 1
+                self.end = end
+                return _CONST_TERMS[text]
+            case "kw" if text in ELIMS:
+                self.pos += 1
+                node, params = ELIMS[text]
                 args = []
-                for _ in range(ELIM_ARITY[t.text]):
+                for binders in params:
                     if not self.at_atom():
-                        self.fail(
-                            f"{t.text} expects {ELIM_ARITY[t.text]} argument(s)", self.peek().span
-                        )
-                    args.append(self.parse_atom())
-                return SElim(t.text, tuple(args), t.span.merge(args[-1].span))
-            case "kw" if t.text == "fun":
+                        message = f"{text} expects {len(params)} argument(s)"
+                        self.fail(message, self.tokens[self.pos])
+                    arg = self.parse_atom() if binders is None else self.parse_binder_arg(*binders)
+                    args.append(arg)
+                return node(*args)
+            case "kw" if text == "fun":
                 return self.parse_fun()
             case "(":
                 return self.parse_parenthesized()
             case _:
-                self.fail(f"expected a term, found {t.text!r}", t.span)
+                self.fail(f"expected a term, found {text!r}", tok)
                 raise AssertionError  # unreachable
 
-    def parse_fun(self) -> STerm:
-        kw = self.next()
-        names = [self.expect("ident", "a binder name").text]
-        while self.peek().kind == "ident":
-            names.append(self.next().text)
-        self.expect("=>", "'=>' after the binders")
-        body = self.parse_term()
-        return SLam(tuple(names), body, kw.span.merge(body.span))
+    def parse_binder_arg(self, count: int, what: str) -> t.Term:
+        """An eliminator argument that binds `count` names: a `fun` of at
+        least that many binders, perhaps nested, whose body is returned
+        with the rest of them still bound by `Lam`s."""
+        first, mark = self.pos, len(self.pending)
+        term = self.parse_atom()
+        body = term
+        for _ in range(count):
+            if body.__class__ is not t.Lam:
+                # Resolution reports this before anything inside the argument.
+                self.pending.insert(mark, SElim(what, count, Span(self.span_start(first), self.end)))
+                return term
+            body = body.body
+        return body
 
-    def parse_parenthesized(self) -> STerm:
-        if self._at_telescope():
+    def parse_fun(self) -> t.Term:
+        self.pos += 1
+        names = [self.expect("ident", "a binder name")[1]]
+        tokens = self.tokens
+        while tokens[self.pos][0] == "ident":
+            names.append(tokens[self.pos][1])
+            self.pos += 1
+        self.expect("=>", "'=>' after the binders")
+        body = self.parse_under(names, self.parse_term)
+        for _ in names:
+            body = t.Lam(body)
+        return body
+
+    def parse_parenthesized(self) -> t.Term:
+        if self.telescope_arrow(self.pos) is not None:
             return self.parse_telescope()
-        open_ = self.expect("(", "'('")
+        self.pos += 1
         term = self.parse_term()
-        t = self.peek()
-        match t.kind:
+        tok = self.tokens[self.pos]
+        match tok[0]:
             case ")":
-                self.next()
+                self.pos += 1  # the span of `(t)` is that of `t`
                 return term
             case ":":
-                self.next()
+                self.pos += 1
                 ty = self.parse_term()
-                close = self.expect(")", "')'")
-                return SAnn(term, ty, open_.span.merge(close.span))
+                self.end = self.expect(")", "')'")[3]
+                return t.Ann(term, ty)
             case ",":
-                self.next()
+                self.pos += 1
                 snd = self.parse_pair_tail()
-                close = self.expect(")", "')'")
-                return SPair(term, snd, open_.span.merge(close.span))
+                self.end = self.expect(")", "')'")[3]
+                return t.Pair(term, snd)
             case _:
-                self.fail(f"expected ')', ':' or ',', found {t.text!r}", t.span)
+                self.fail(f"expected ')', ':' or ',', found {tok[1]!r}", tok)
                 raise AssertionError  # unreachable
 
-    def parse_pair_tail(self) -> STerm:
+    def parse_pair_tail(self) -> t.Term:
         """After a comma: more elements associate to the right."""
         term = self.parse_term()
-        if self.peek().kind == ",":
-            self.next()
-            snd = self.parse_pair_tail()
-            return SPair(term, snd, term.span.merge(snd.span))
+        if self.tokens[self.pos][0] == ",":
+            self.pos += 1
+            return t.Pair(term, self.parse_pair_tail())
         return term
 
-    def _at_telescope(self) -> bool:
-        """Detect `(x y... : ...` followed (after the closing paren of the
-        last group) by `->` or `*` without committing the cursor."""
-        i = self.pos
+    def telescope_arrow(self, i: int) -> str | None:
+        """The `->` or `*` that follows the closing paren of the last group,
+        if the tokens from `i` on are binder groups `(x y... : ...`."""
         toks = self.tokens
         saw_group = False
-        while toks[i].kind == "(" and toks[i + 1].kind == "ident":
+        while toks[i][0] == "(" and toks[i + 1][0] == "ident":
             j = i + 1
-            while toks[j].kind == "ident":
+            while toks[j][0] == "ident":
                 j += 1
-            if toks[j].kind != ":":
+            if toks[j][0] != ":":
                 break
             depth = 0
             while True:
-                k = toks[j].kind
+                k = toks[j][0]
                 if k == "(":
                     depth += 1
                 elif k == ")":
@@ -307,56 +374,68 @@ class Parser:
                         break
                     depth -= 1
                 elif k == "eof":
-                    return False
+                    return None
                 j += 1
             saw_group = True
             i = j + 1
-        return saw_group and toks[i].kind in ("->", "*")
+        arrow = toks[i][0]
+        return arrow if saw_group and arrow in ("->", "*") else None
 
-    def parse_telescope(self) -> STerm:
-        groups: list[tuple[list[Token], STerm]] = []
-        start = self.peek().span
-        while self.peek().kind == "(" and self.peek(1).kind == "ident":
-            mark = self.pos
-            self.next()
-            names = [self.next()]
-            while self.peek().kind == "ident":
-                names.append(self.next())
-            if self.peek().kind != ":":
-                self.pos = mark
-                break
-            self.next()
-            ty = self.parse_term()
+    def parse_telescope(self) -> t.Term:
+        """Binder groups up to the arrow that `telescope_arrow` found: the
+        parse of each group's type ends at the paren that closes the group
+        there, or fails."""
+        tokens = self.tokens
+        outer = self.scope
+        doms: list[t.Term] = []  # one per binder, each in the scope of those before it
+        while tokens[self.pos][0] == "(":
+            first = self.pos + 1
+            self.pos = first
+            while tokens[self.pos][0] == "ident":
+                self.pos += 1
+            names = [tok[1] for tok in tokens[first : self.pos]]
+            ty_pos = self.pos + 1  # after the ":"
+            # Each further name's type is the same text one binder deeper,
+            # where it may mean something else: parse it again there.
+            for name in names:
+                self.pos = ty_pos
+                doms.append(self.parse_term())
+                self.scope = (name,) + self.scope
             self.expect(")", "')' closing the binder group")
-            groups.append((names, ty))
-            if self.peek().kind in ("->", "*"):
-                break
-        arrow = self.next()
-        if arrow.kind == "->":
+        arrow = tokens[self.pos]
+        self.pos += 1
+        if arrow[0] == "->":
             cod = self.parse_term()
-            result = cod
-            for names, ty in reversed(groups):
-                for name in reversed(names):
-                    result = SPi(name.text, ty, result, name.span.merge(result.span))
-            return result
-        if arrow.kind == "*":
-            if len(groups) != 1 or len(groups[0][0]) != 1:
-                self.fail("a dependent pair type takes a single binder", arrow.span)
-            (names, ty) = groups[0]
-            snd = self.parse_times()
-            return SSigma(names[0].text, ty, snd, start.merge(snd.span))
-        self.fail(f"expected '->' or '*' after the binders, found {arrow.text!r}", arrow.span)
-        raise AssertionError  # unreachable
+            self.scope = outer
+            for dom in reversed(doms):
+                cod = t.Pi(dom, cod)
+            return cod
+        if len(doms) != 1:
+            self.fail("a dependent pair type takes a single binder", arrow)
+        snd = self.parse_times()
+        self.scope = outer
+        return t.Sigma(doms[0], snd)
+
+    def span_start(self, i: int) -> int:
+        """Where the span of the term that starts at token `i` starts: a
+        plain `(t)` has the span of `t`, and a dependent function type
+        starts at its first binder name."""
+        toks = self.tokens
+        while toks[i][0] == "(":
+            arrow = self.telescope_arrow(i)
+            if arrow == "->":
+                return toks[i + 1][2]
+            if arrow == "*":
+                break
+            depth, j = 0, i + 1
+            while depth or toks[j][0] not in (")", ":", ","):
+                depth += {"(": 1, ")": -1}.get(toks[j][0], 0)
+                j += 1
+            if toks[j][0] != ")":  # an annotation or a pair
+                break
+            i += 1
+        return toks[i][2]
 
 
-def parse_module(source: str) -> SModule:
+def parse_module(source: str) -> Module:
     return Parser(source).parse_module()
-
-
-def parse_term(source: str) -> STerm:
-    parser = Parser(source)
-    term = parser.parse_term()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        parser.fail(f"unexpected trailing input {trailing.text!r}", trailing.span)
-    return term

@@ -1,4 +1,4 @@
-"""End-to-end driving: source text -> parse -> resolve -> check.
+"""End-to-end driving: source text -> parse -> resolve global names -> check.
 
 Resolution and checking are interleaved per declaration so that a
 rejected declaration leaves no binding behind: later declarations that
@@ -43,47 +43,45 @@ def check_source(source: str, glob: Globals, file: str = "<input>") -> FileResul
         module = parse_module(source)
     except CheckFailure as exc:
         raise CheckFailure(exc.diagnostic, file) from None
-    result = FileResult(CheckReport(file), list(module.pragmas))
+    result = FileResult(CheckReport(file), module.pragmas)
     checker = Checker(glob)
     known = glob.names()
     resolver = Resolver(known)
     seen = set(known)
-    for sdecl in module.decls:
+    for decl, pending in zip(module.decls, module.pending):
         start = time.perf_counter()
         try:
-            if sdecl.name in seen:
+            if decl.name in seen:
                 raise CheckFailure(
                     Diagnostic(
-                        "error", "duplicate-name", f"duplicate declaration {sdecl.name!r}", sdecl.span
+                        "error", "duplicate-name", f"duplicate declaration {decl.name!r}", decl.span
                     )
                 )
-            if RESERVED_NAME.match(sdecl.name):
+            if RESERVED_NAME.match(decl.name):
                 raise CheckFailure(
                     Diagnostic(
                         "error",
                         "reserved-name",
-                        f"{sdecl.name!r} is reserved for printer-invented binders",
-                        sdecl.span,
+                        f"{decl.name!r} is reserved for printer-invented binders",
+                        decl.span,
                     )
                 )
-            ty = resolver.resolve((), sdecl.ty)
-            body = resolver.resolve((), sdecl.body) if sdecl.body is not None else None
-            decl = Declaration(sdecl.kind, sdecl.name, ty, body, sdecl.span, sdecl.source_ref)
+            resolver.resolve(pending)
             checker.check_declaration(decl)
         except CheckFailure as exc:
             ms = (time.perf_counter() - start) * 1000
             result.report.declarations.append(
-                DeclReport(sdecl.name, sdecl.kind, "rejected", ms, sdecl.source_ref, exc.diagnostic)
+                DeclReport(decl.name, decl.kind, "rejected", ms, decl.source_ref, exc.diagnostic)
             )
         else:
             ms = (time.perf_counter() - start) * 1000
             result.declarations.append(decl)
             result.report.declarations.append(
-                DeclReport(sdecl.name, sdecl.kind, "accepted", ms, sdecl.source_ref)
+                DeclReport(decl.name, decl.kind, "accepted", ms, decl.source_ref)
             )
-            seen.add(sdecl.name)
-            if sdecl.kind != "goal":
-                known.add(sdecl.name)
+            seen.add(decl.name)
+            if decl.kind != "goal":
+                known.add(decl.name)
     return result
 
 

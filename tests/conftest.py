@@ -4,7 +4,10 @@ import pytest
 
 from minihott.corpus.manifest import emit_corpus
 from minihott.globals import Config, Globals
+from minihott.parser import parse_module
 from minihott.pipeline import check_source, run_deep
+from minihott.resolver import Resolver
+from minihott.terms import Term
 
 
 class CorpusRun:
@@ -63,3 +66,11 @@ def check_one(source: str, config: Config | None = None):
     """Check a single standalone source string; returns the FileResult."""
     glob = Globals(config or Config())
     return run_deep(lambda: check_source(source, glob))
+
+
+def core_term(text: str, glob: Globals | None = None) -> Term:
+    """The core term of the surface term `text`, with the names of `glob`
+    as its globals; a resolve error raises `CheckFailure`."""
+    module = parse_module(f"def tmp : U0 := {text}")
+    Resolver(set() if glob is None else glob.names()).resolve(module.pending[0])
+    return module.decls[0].body

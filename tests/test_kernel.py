@@ -5,7 +5,7 @@ import sys
 import threading
 
 import pytest
-from conftest import check_one
+from conftest import check_one, core_term
 
 from minihott import terms as t
 from minihott import values as v
@@ -13,10 +13,8 @@ from minihott.conversion import conv
 from minihott.corpus.manifest import emit_corpus
 from minihott.evaluate import KernelBug, evaluate, normalize, quote
 from minihott.globals import Config, Globals
-from minihott.parser import parse_module
 from minihott.pipeline import check_source, run_deep
 from minihott.printer import print_term
-from minihott.resolver import Resolver
 
 ADD_SOURCE = """
 def add : Nat -> Nat -> Nat
@@ -35,9 +33,7 @@ def eval_term(source_term: str, prelude: str = "") -> tuple:
     if prelude:
         result = check_source(prelude, glob)
         assert result.ok
-    module = parse_module(f"def tmp : U0 := {source_term}")
-    term = Resolver(glob.names()).resolve((), module.decls[0].body)
-    return glob, evaluate(glob, (), term)
+    return glob, evaluate(glob, (), core_term(source_term, glob))
 
 
 def normal_text(source_term: str, prelude: str = "") -> str:
@@ -90,10 +86,8 @@ def test_normalize_is_idempotent_on_samples():
     ]
     glob = Globals(Config())
     assert check_source(ADD_SOURCE, glob).ok
-    resolver = Resolver(glob.names())
     for text in samples:
-        module = parse_module(f"def tmp : U0 := {text}")
-        term = resolver.resolve((), module.decls[0].body)
+        term = core_term(text, glob)
         once = normalize(glob, (), term)
         assert normalize(glob, (), once) == once
 
@@ -104,9 +98,7 @@ def test_normalize_is_idempotent_on_samples():
 def test_eta_for_functions():
     glob = Globals(Config())
     assert check_source("axiom f : Nat -> Nat", glob).ok
-    module = parse_module("def tmp : U0 := (fun x => f x, f)")
-    pair = Resolver(glob.names()).resolve((), module.decls[0].body)
-    value = evaluate(glob, (), pair)
+    value = evaluate(glob, (), core_term("(fun x => f x, f)", glob))
     assert conv(0, value.fst, value.snd)
 
 
@@ -192,6 +184,19 @@ def test_universe_infers_next_level():
 
 def test_no_type_in_type():
     assert not check_one("def a : U0 := U0").ok
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def bad : U0 := Nat -> U0",  # a function type lives in the larger of its universes
+        "def bad : U0 := Id U0 Nat Nat",  # an identity type lives in its carrier's universe
+        "def bad : Id U1 Nat Nat -> Id U0 Nat Nat := fun p => p",  # carriers are compared
+    ],
+)
+def test_universe_levels_are_not_lowered(source):
+    [decl] = check_one(source).report.declarations
+    assert decl.diagnostic.code == "type-mismatch"
 
 
 def test_cumulativity_for_base_types():

@@ -4,6 +4,7 @@ corpus-level determinism and cumulativity-monotonicity checks."""
 import json
 import re
 
+from conftest import core_term
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +13,7 @@ from minihott.conversion import conv
 from minihott.corpus.manifest import emit_corpus
 from minihott.evaluate import evaluate, normalize
 from minihott.globals import Config, Globals
-from minihott.parser import parse_module
 from minihott.pipeline import check_source, run_deep
-from minihott.resolver import Resolver
 
 # --- a generator of well-typed closed terms (surface text) ---
 #
@@ -93,8 +92,7 @@ def annotated_term(draw):
 
 
 def eval_text(glob: Globals, text: str) -> v.Value:
-    module = parse_module(f"def tmp : U0 := {text}")
-    term = Resolver(set()).resolve((), module.decls[0].body)
+    term = core_term(text)
     return evaluate(glob, (), term), term
 
 

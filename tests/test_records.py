@@ -20,9 +20,9 @@ from minihott import values as v
 from minihott.checker import CheckReport
 from minihott.globals import Globals
 from minihott.oracle import FinBij, FinSet
-from minihott.surface import SModule
+from minihott.parser import Module
 
-MODULES = ("terms", "values", "surface", "diagnostics", "decls", "globals", "checker", "oracle")
+MODULES = ("terms", "values", "parser", "diagnostics", "decls", "globals", "checker", "oracle")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "minihott"
 
 
@@ -78,9 +78,9 @@ def test_every_class_that_declares_fields_is_a_record():
     # in the class body.
     assert [name for _, name, is_record, fields in CLASSES if fields and not is_record] == []
     names = {name for _, name, _ in RECORDS}
-    assert {"Var", "Ann", "VUniv", "VNeutral", "Closure", "SDecl", "Span", "Declaration"} <= names
+    assert {"Var", "Ann", "VUniv", "VNeutral", "Closure", "SVar", "SElim", "Span", "Declaration"} <= names
     assert {"Config", "GlobalEntry", "Context", "FinSet", "FinBij"} <= names
-    assert len(RECORDS) >= 70
+    assert len(RECORDS) >= 64
 
 
 @pytest.mark.parametrize("module,name,fields", RECORDS, ids=[name for _, name, _ in RECORDS])
@@ -151,6 +151,6 @@ def test_glued_values_compare_by_identity():
 
 def test_mutable_containers_are_not_shared():
     assert CheckReport().declarations is not CheckReport().declarations
-    assert SModule().decls is not SModule().decls
+    assert Module().decls is not Module().decls
     assert Globals().entries is not Globals().entries
     assert Globals().config == Globals().config

@@ -4,6 +4,7 @@ import pathlib
 import re
 
 import pytest
+from conftest import core_term
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,30 +12,19 @@ from minihott import terms as t
 from minihott.diagnostics import CheckFailure, Diagnostic, Span
 from minihott.parser import KEYWORDS, parse_module, tokenize
 from minihott.printer import print_term
-from minihott.resolver import Resolver
-
-
-def parse_ok(source: str):
-    return parse_module(source)
-
-
-def resolve_body(source: str) -> t.Term:
-    module = parse_module(source)
-    assert len(module.decls) == 1
-    return Resolver(set()).resolve((), module.decls[0].body)
 
 
 # --- parsing ---
 
 
 def test_parse_single_def():
-    module = parse_ok("def id2 : Two -> Two := fun x => x")
+    module = parse_module("def id2 : Two -> Two := fun x => x")
     assert [d.kind for d in module.decls] == ["def"]
     assert module.decls[0].name == "id2"
 
 
 def test_parse_axiom_has_no_body():
-    module = parse_ok("axiom someAxiom : (A : U0) -> A -> A")
+    module = parse_module("axiom someAxiom : (A : U0) -> A -> A")
     assert module.decls[0].kind == "axiom"
     assert module.decls[0].body is None
 
@@ -60,13 +50,13 @@ def test_parse_is_deterministic():
 
 
 def test_pragmas_and_source_refs_are_collected():
-    module = parse_ok("--! requires-ua\n--@ some-tag\ndef a : U1 := U0")
+    module = parse_module("--! requires-ua\n--@ some-tag\ndef a : U1 := U0")
     assert module.pragmas == ["requires-ua"]
     assert module.decls[0].source_ref == "some-tag"
 
 
 def test_numeral_desugars_to_successor_chain():
-    body = resolve_body("def n : Nat := 3")
+    body = core_term("3")
     assert body == t.Suc(t.Suc(t.Suc(t.Zero())))
 
 
@@ -74,16 +64,16 @@ def test_numeral_desugars_to_successor_chain():
 
 
 def test_resolve_identity():
-    assert resolve_body("def f : Unit := fun x => x") == t.Lam(t.Var(0))
+    assert core_term("fun x => x") == t.Lam(t.Var(0))
 
 
 def test_resolve_constant_combinator():
-    assert resolve_body("def f : Unit := fun x => fun y => x") == t.Lam(t.Lam(t.Var(1)))
+    assert core_term("fun x => fun y => x") == t.Lam(t.Lam(t.Var(1)))
 
 
 def test_resolve_unbound_identifier():
     with pytest.raises(CheckFailure) as exc:
-        resolve_body("def f : Unit := swap2")
+        core_term("swap2")
     assert exc.value.diagnostic.code == "resolve"
     assert "swap2" in exc.value.diagnostic.message
 
@@ -120,18 +110,19 @@ _REFERENCE_TOKEN_RE = re.compile(
 )
 
 
-def reference_tokenize(source: str) -> list[tuple[str, str, Span]]:
+def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
     """The earlier lexer: one match per run of whitespace, per comment and
-    per token. `tokenize` must give the same (kind, text, span) triples."""
+    per token. `tokenize` must give the same (kind, text, start, end)
+    tuples."""
     tokens = []
     pos = 0
     while pos < len(source):
         m = _REFERENCE_TOKEN_RE.match(source, pos)
         if m is None:
             raise CheckFailure(
-                Diagnostic("error", "lex", f"unexpected character {source[pos]!r}", Span.point(pos))
+                Diagnostic("error", "lex", f"unexpected character {source[pos]!r}", Span(pos, pos))
             )
-        span = Span(m.start(), m.end())
+        span = (m.start(), m.end())
         kind = m.lastgroup
         text = m.group()
         pos = m.end()
@@ -139,20 +130,20 @@ def reference_tokenize(source: str) -> list[tuple[str, str, Span]]:
             case "ws" | "comment":
                 continue
             case "pragma" | "srcref":
-                tokens.append((kind, text[3:].strip(), span))
+                tokens.append((kind, text[3:].strip(), *span))
             case "univ" | "num":
-                tokens.append((kind, text, span))
+                tokens.append((kind, text, *span))
             case "ident":
-                tokens.append(("kw" if text in KEYWORDS else "ident", text, span))
+                tokens.append(("kw" if text in KEYWORDS else "ident", text, *span))
             case _:
-                tokens.append((text, text, span))
-    tokens.append(("eof", "", Span.point(len(source))))
+                tokens.append((text, text, *span))
+    tokens.append(("eof", "", len(source), len(source)))
     return tokens
 
 
 def lex_outcome(lex, source: str):
     try:
-        return [(kind, text, span) for kind, text, span in lex(source)]
+        return lex(source)
     except CheckFailure as exc:
         return exc.diagnostic
 
@@ -189,8 +180,7 @@ def test_tokenize_matches_reference_on_fragments(source):
 
 
 def roundtrip(term: t.Term) -> t.Term:
-    source = f"def tmp : U0 := {print_term(term)}"
-    return resolve_body(source)
+    return core_term(print_term(term))
 
 
 def leaf_terms():
