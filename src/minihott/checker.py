@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 from . import terms as t
 from . import values as v
 from .conversion import conv, subtype
@@ -17,20 +19,14 @@ class Context:
     """Ordered telescope of binder types plus the matching neutral environment."""
 
     entries: tuple = ()  # tuple[(name_hint, Value), ...], innermost last
-    fresh_vars: tuple = ()  # (fresh(0), ..., fresh(depth - 1))
+    env: tuple = ()  # (fresh(0), ..., fresh(depth - 1))
 
     @property
     def depth(self) -> int:
         return len(self.entries)
 
-    @property
-    def env(self) -> tuple:
-        # Interned when used, not in `extend`: a context that evaluates
-        # nothing leaves no entry in the table.
-        return v.intern_env(self.fresh_vars)
-
     def extend(self, hint: str, ty: v.Value) -> "Context":
-        return Context(self.entries + ((hint, ty),), self.fresh_vars + (v.fresh(self.depth),))
+        return Context(self.entries + ((hint, ty),), self.env + (v.fresh(self.depth),))
 
     def lookup(self, index: int) -> v.Value:
         return self.entries[-1 - index][1]
@@ -190,7 +186,7 @@ class Checker:
                 self.check(ctx, target, v.VEmpty())
                 motive_ctx = ctx.extend("e", v.VEmpty())
                 self.infer_type(motive_ctx, motive, "motive")
-                cl = v.Closure(self.glob, ctx.env, motive, 1)
+                cl = v.Closure(weakref.ref(self.glob), ctx.env, motive, 1)
                 return cl(self.eval_in(ctx, target))
             case t.Star():
                 return v.VUnit()
@@ -200,7 +196,7 @@ class Checker:
                 self.check(ctx, target, v.VTwo())
                 motive_ctx = ctx.extend("b", v.VTwo())
                 self.infer_type(motive_ctx, motive, "motive")
-                cl = v.Closure(self.glob, ctx.env, motive, 1)
+                cl = v.Closure(weakref.ref(self.glob), ctx.env, motive, 1)
                 self.check(ctx, if0, cl(v.VBit0()))
                 self.check(ctx, if1, cl(v.VBit1()))
                 return cl(self.eval_in(ctx, target))
@@ -225,7 +221,7 @@ class Checker:
         xy = x.extend("y", carrier)
         xyp = xy.extend("p", v.VId(carrier, v.fresh(ctx.depth), v.fresh(ctx.depth + 1)))
         self.infer_type(xyp, motive, "J motive")
-        motive_cl = v.Closure(self.glob, ctx.env, motive, 3)
+        motive_cl = v.Closure(weakref.ref(self.glob), ctx.env, motive, 3)
         base_ctx = ctx.extend("x", carrier)
         base_var = v.fresh(ctx.depth)
         self.check(base_ctx, base, motive_cl(base_var, base_var, v.VRefl(base_var)))
@@ -235,7 +231,7 @@ class Checker:
         self.check(ctx, target, v.VNat())
         motive_ctx = ctx.extend("n", v.VNat())
         self.infer_type(motive_ctx, motive, "motive")
-        cl = v.Closure(self.glob, ctx.env, motive, 1)
+        cl = v.Closure(weakref.ref(self.glob), ctx.env, motive, 1)
         self.check(ctx, base, cl(v.VZero()))
         n_var = v.fresh(ctx.depth)
         step_ctx = ctx.extend("n", v.VNat()).extend("ih", cl(n_var))

@@ -220,10 +220,10 @@ def console_main() -> NoReturn:
     The cyclic garbage collector stays off from here to the exit: the
     kernel creates no reference cycles (tests/test_kernel.py checks
     this) and argparse leaves a few hundred at most, so a collection
-    would only walk the memo tables.  The process ends with `os._exit`
+    would only walk the live values.  The process ends with `os._exit`
     once the output is flushed: the operating system takes the memory
-    back at once, where the interpreter's own exit would free every memo
-    entry, value and term one at a time.
+    back at once, where the interpreter's own exit would free every
+    value and term one at a time.
 
     A flush that fails (say, a closed pipe) exits 2, with an `error:`
     line unless `main` already exited 2 with one, as it does when a write

@@ -9,93 +9,15 @@ from .evaluate import apply, project_fst, project_snd, whnf
 # Two glued values with the same definition at the head are compared by
 # their spines first, which is sound by congruence; only when heads or
 # spines differ are both sides unfolded and compared structurally, which
-# keeps the check complete.
+# keeps the check complete.  Physical identity implies definitional
+# equality (values are immutable up to a glued value's idempotent
+# unfolding cache), so `a is b` ends a comparison at once.
 #
-# Evaluation shares value objects (it is memoized on identity), so large
-# proof values are compared against themselves constantly.  Physical
-# identity implies definitional equality (values are immutable up to a
-# glued value's idempotent unfolding cache), and results for a pair of
-# value objects never change, so conversion is memoized on object
-# identity.  `_retain` pins the keyed objects alive so that ids are not
-# recycled while their cache entries exist.
-#
-# For the identity memo to hit, η-expansion must be identity-stable:
-# expanding the same value twice has to yield the *same* result object.
-# Fresh variables are interned per level (values.fresh), and the
-# application/projection steps used during conversion are memoized on
-# object identity below (`_apply_fresh` and friends).
-_memo: dict = {}
-_retain: list = []
-_app_memo: dict = {}
-_app_retain: list = []
-_MEMO_LIMIT = 4_000_000
+# Conversion keeps no memo of its answers, for the reason evaluation keeps
+# none (see `evaluate`).
 
-
-def _memo_trim() -> None:
-    if len(_memo) + len(_app_memo) > _MEMO_LIMIT:
-        _memo.clear()
-        _retain.clear()
-        _app_memo.clear()
-        _app_retain.clear()
-
-
-def _apply_fresh(fn: v.Value, depth: int) -> v.Value:
-    """`apply(fn, fresh(depth))`, identity-stable across calls."""
-    key = (id(fn), depth)
-    result = _app_memo.get(key)
-    if result is None:
-        result = apply(fn, v.fresh(depth))
-        _app_memo[key] = result
-        _app_retain.append(fn)
-    return result
-
-
-def _call_fresh(closure: v.Closure, depth: int) -> v.Value:
-    """Apply a closure to fresh variables at `depth`, identity-stable."""
-    key = (id(closure), depth, -1)
-    result = _app_memo.get(key)
-    if result is None:
-        args = tuple(v.fresh(depth + i) for i in range(closure.arity))
-        result = closure(*args)
-        _app_memo[key] = result
-        _app_retain.append(closure)
-    return result
-
-
-def _call1(closure: v.Closure, arg: v.Value) -> v.Value:
-    """Apply an arity-1 closure to `arg`, identity-stable."""
-    key = (id(closure), id(arg), -4)
-    result = _app_memo.get(key)
-    if result is None:
-        result = closure(arg)
-        _app_memo[key] = result
-        _app_retain.append(closure)
-        _app_retain.append(arg)
-    return result
-
-
-def _fst(value: v.Value) -> v.Value:
-    if isinstance(value, v.VPair):
-        return value.fst
-    key = (id(value), -2)
-    result = _app_memo.get(key)
-    if result is None:
-        result = project_fst(value)
-        _app_memo[key] = result
-        _app_retain.append(value)
-    return result
-
-
-def _snd(value: v.Value) -> v.Value:
-    if isinstance(value, v.VPair):
-        return value.snd
-    key = (id(value), -3)
-    result = _app_memo.get(key)
-    if result is None:
-        result = project_snd(value)
-        _app_memo[key] = result
-        _app_retain.append(value)
-    return result
+_memo: dict = {}  # always empty: no memo is kept; perfbench/traced_cli.py reads its size
+_app_memo: dict = {}  # always empty: no memo is kept; perfbench/traced_cli.py reads its size
 
 
 def conv(depth: int, a: v.Value, b: v.Value, ty: v.Value | None = None, *, eta_sigma: bool = True) -> bool:
@@ -110,37 +32,17 @@ def conv(depth: int, a: v.Value, b: v.Value, ty: v.Value | None = None, *, eta_s
         return True
     match whnf(ty):
         case v.VPi(_, cod):
-            return conv(
-                depth + 1,
-                _apply_fresh(a, depth),
-                _apply_fresh(b, depth),
-                _call_fresh(cod, depth),
-                eta_sigma=eta_sigma,
-            )
+            x = v.fresh(depth)
+            return conv(depth + 1, apply(a, x), apply(b, x), cod(x), eta_sigma=eta_sigma)
         case v.VSigma(fst_ty, snd_ty) if eta_sigma:
-            fa, fb = _fst(a), _fst(b)
-            if not conv(depth, fa, fb, fst_ty, eta_sigma=eta_sigma):
+            fa = project_fst(a)
+            if not conv(depth, fa, project_fst(b), fst_ty, eta_sigma=eta_sigma):
                 return False
-            return conv(depth, _snd(a), _snd(b), _call1(snd_ty, fa), eta_sigma=eta_sigma)
+            return conv(depth, project_snd(a), project_snd(b), snd_ty(fa), eta_sigma=eta_sigma)
         case v.VUnit():
             return True
         case _:
             return conv_structural(depth, a, b, eta_sigma=eta_sigma)
-
-
-def conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
-    if a is b:
-        return True
-    key = (id(a), id(b), eta_sigma)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    result = _conv_structural(depth, a, b, eta_sigma=eta_sigma)
-    _memo_trim()
-    _memo[key] = result
-    _retain.append(a)
-    _retain.append(b)
-    return result
 
 
 def _same_glued(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
@@ -153,7 +55,9 @@ def _same_glued(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
     )
 
 
-def _conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
+def conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
+    if a is b:
+        return True
     if _same_glued(depth, a, b, eta_sigma=eta_sigma):
         return True
     a, b = whnf(a), whnf(b)
@@ -161,15 +65,14 @@ def _conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> 
         return True
     # untyped η for functions and pairs
     if isinstance(a, v.VLam) or isinstance(b, v.VLam):
-        return conv_structural(
-            depth + 1, _apply_fresh(a, depth), _apply_fresh(b, depth), eta_sigma=eta_sigma
-        )
+        x = v.fresh(depth)
+        return conv_structural(depth + 1, apply(a, x), apply(b, x), eta_sigma=eta_sigma)
     if eta_sigma and (isinstance(a, v.VPair) or isinstance(b, v.VPair)):
         if not _projectable(a) or not _projectable(b):
             return False
         return conv_structural(
-            depth, _fst(a), _fst(b), eta_sigma=eta_sigma
-        ) and conv_structural(depth, _snd(a), _snd(b), eta_sigma=eta_sigma)
+            depth, project_fst(a), project_fst(b), eta_sigma=eta_sigma
+        ) and conv_structural(depth, project_snd(a), project_snd(b), eta_sigma=eta_sigma)
 
     match (a, b):
         case (v.VUniv(i), v.VUniv(j)):
@@ -179,9 +82,8 @@ def _conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> 
                 return False
             if not conv_structural(depth, d1, d2, eta_sigma=eta_sigma):
                 return False
-            return conv_structural(
-                depth + 1, _call_fresh(c1, depth), _call_fresh(c2, depth), eta_sigma=eta_sigma
-            )
+            x = v.fresh(depth)
+            return conv_structural(depth + 1, c1(x), c2(x), eta_sigma=eta_sigma)
         case (v.VPair(x1, y1), v.VPair(x2, y2)):
             return conv_structural(depth, x1, x2, eta_sigma=eta_sigma) and conv_structural(
                 depth, y1, y2, eta_sigma=eta_sigma
@@ -220,9 +122,8 @@ def _projectable(value: v.Value) -> bool:
 def closure_eq(depth: int, c1: v.Closure, c2: v.Closure, *, eta_sigma: bool) -> bool:
     if c1.arity != c2.arity:
         return False
-    return conv_structural(
-        depth + c1.arity, _call_fresh(c1, depth), _call_fresh(c2, depth), eta_sigma=eta_sigma
-    )
+    args = tuple(v.fresh(depth + i) for i in range(c1.arity))
+    return conv_structural(depth + c1.arity, c1(*args), c2(*args), eta_sigma=eta_sigma)
 
 
 def spine_eq(depth: int, s1: tuple, s2: tuple, *, eta_sigma: bool) -> bool:
@@ -276,14 +177,12 @@ def subtype(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool = True) -> bo
         case (v.VPi(d1, c1), v.VPi(d2, c2)):
             if not conv_structural(depth, d1, d2, eta_sigma=eta_sigma):
                 return False
-            return subtype(
-                depth + 1, _call_fresh(c1, depth), _call_fresh(c2, depth), eta_sigma=eta_sigma
-            )
+            x = v.fresh(depth)
+            return subtype(depth + 1, c1(x), c2(x), eta_sigma=eta_sigma)
         case (v.VSigma(d1, c1), v.VSigma(d2, c2)):
             if not subtype(depth, d1, d2, eta_sigma=eta_sigma):
                 return False
-            return subtype(
-                depth + 1, _call_fresh(c1, depth), _call_fresh(c2, depth), eta_sigma=eta_sigma
-            )
+            x = v.fresh(depth)
+            return subtype(depth + 1, c1(x), c2(x), eta_sigma=eta_sigma)
         case _:
             return conv_structural(depth, a, b, eta_sigma=eta_sigma)

@@ -2,22 +2,19 @@
 
 from __future__ import annotations
 
+import weakref
+
 from . import terms as t
 from . import values as v
 from .diagnostics import KernelBug
 
-# Evaluation is memoized on (globals, environment, term) identity.
-# Environments at closure-application boundaries are interned
-# (values.intern_env), terms are immutable syntax shared per parse, and
-# globals are append-only, so a cached result never goes stale.  The
-# retain list pins keyed objects so their ids are not recycled.  A
-# variable or a reference is not memoized: it evaluates to an object
-# that already exists (an element of the environment, or the glued or
-# axiom value `Globals` holds for the name), the very object a memo
-# entry would return, so an entry would cost memory and save nothing.
-_memo: dict = {}
-_retain: list = []
-_MEMO_LIMIT = 4_000_000
+# Evaluation and conversion keep no memo.  References evaluate to glued
+# values (values.VGlued), which conversion compares by their spines before
+# it unfolds them, so little work repeats: tables keyed on object identity
+# would save about a tenth of a corpus check's time, and the values they
+# kept alive would be most of its memory.
+
+_memo: dict = {}  # always empty: no memo is kept; perfbench/traced_cli.py reads its size
 
 
 def evaluate(glob, env: tuple, term: t.Term) -> v.Value:
@@ -28,18 +25,7 @@ def evaluate(glob, env: tuple, term: t.Term) -> v.Value:
         return env[-1 - term.index]
     if kind is t.Ref:
         return glob.value_of(term.name)
-    key = (id(glob), id(env), id(term))
-    result = _memo.get(key)
-    if result is None:
-        result = _evaluate(glob, env, term)
-        if len(_memo) > _MEMO_LIMIT:
-            _memo.clear()
-            _retain.clear()
-        _memo[key] = result
-        _retain.append(env)
-        _retain.append(term)
-        _retain.append(glob)
-    return result
+    return _evaluate(glob, env, term)
 
 
 def _evaluate(glob, env: tuple, term: t.Term) -> v.Value:
@@ -47,13 +33,13 @@ def _evaluate(glob, env: tuple, term: t.Term) -> v.Value:
         case t.Univ(level):
             return v.VUniv(level)
         case t.Pi(dom, cod):
-            return v.VPi(evaluate(glob, env, dom), v.Closure(glob, env, cod))
+            return v.VPi(evaluate(glob, env, dom), v.Closure(weakref.ref(glob), env, cod))
         case t.Lam(body):
-            return v.VLam(v.Closure(glob, env, body))
+            return v.VLam(v.Closure(weakref.ref(glob), env, body))
         case t.App(fn, arg):
             return apply(evaluate(glob, env, fn), evaluate(glob, env, arg))
         case t.Sigma(fst_ty, snd_ty):
-            return v.VSigma(evaluate(glob, env, fst_ty), v.Closure(glob, env, snd_ty))
+            return v.VSigma(evaluate(glob, env, fst_ty), v.Closure(weakref.ref(glob), env, snd_ty))
         case t.Pair(fst, snd):
             return v.VPair(evaluate(glob, env, fst), evaluate(glob, env, snd))
         case t.Fst(pair):
@@ -70,8 +56,8 @@ def _evaluate(glob, env: tuple, term: t.Term) -> v.Value:
             return v.VRefl(evaluate(glob, env, arg))
         case t.J(motive, base, path):
             return j_elim(
-                v.Closure(glob, env, motive, 3),
-                v.Closure(glob, env, base, 1),
+                v.Closure(weakref.ref(glob), env, motive, 3),
+                v.Closure(weakref.ref(glob), env, base, 1),
                 evaluate(glob, env, path),
             )
         case t.Nat():
@@ -82,15 +68,15 @@ def _evaluate(glob, env: tuple, term: t.Term) -> v.Value:
             return v.VSuc(evaluate(glob, env, pred))
         case t.NatElim(motive, base, step, target):
             return nat_elim(
-                v.Closure(glob, env, motive, 1),
+                v.Closure(weakref.ref(glob), env, motive, 1),
                 evaluate(glob, env, base),
-                v.Closure(glob, env, step, 2),
+                v.Closure(weakref.ref(glob), env, step, 2),
                 evaluate(glob, env, target),
             )
         case t.Empty():
             return v.VEmpty()
         case t.EmptyElim(motive, target):
-            return empty_elim(v.Closure(glob, env, motive, 1), evaluate(glob, env, target))
+            return empty_elim(v.Closure(weakref.ref(glob), env, motive, 1), evaluate(glob, env, target))
         case t.Unit():
             return v.VUnit()
         case t.Star():
@@ -103,7 +89,7 @@ def _evaluate(glob, env: tuple, term: t.Term) -> v.Value:
             return v.VBit1()
         case t.TwoElim(motive, if0, if1, target):
             return two_elim(
-                v.Closure(glob, env, motive, 1),
+                v.Closure(weakref.ref(glob), env, motive, 1),
                 evaluate(glob, env, if0),
                 evaluate(glob, env, if1),
                 evaluate(glob, env, target),

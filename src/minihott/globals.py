@@ -29,9 +29,11 @@ class Globals:
     A reference to an axiom evaluates to an opaque neutral head; a
     reference to a definition evaluates to a glued value whose unfolding
     is the definition's value, forced only where its shape is needed.
+    Closures refer to their `Globals` weakly (see `values`), so a
+    `Globals` must outlive every value it produced.
     """
 
-    __slots__ = ("config", "entries")
+    __slots__ = ("config", "entries", "__weakref__")
 
     def __init__(self, config: Config | None = None) -> None:
         self.config = Config() if config is None else config

@@ -108,11 +108,11 @@ def run_deep(fn, stack_mb: int = 512):
 
     Normalization of large proof terms recurses structurally; CPython's
     default limits are far too small for the deepest corpus terms.  The
-    kernel creates no reference cycles (tests/test_kernel.py checks this),
-    so a collection would free nothing, yet it would walk every value the
-    memo tables keep alive.  The caller's thread stack size, recursion limit
-    and collector state are restored when `fn` returns or raises; a nested
-    call leaves the collector off.
+    kernel creates no reference cycles (tests/test_kernel.py checks this;
+    closures refer to their `Globals` weakly), so a collection would free
+    nothing, yet it would walk every live value of the check.  The caller's
+    thread stack size, recursion limit and collector state are restored
+    when `fn` returns or raises; a nested call leaves the collector off.
     """
     out: dict = {}
 

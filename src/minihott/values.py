@@ -11,12 +11,19 @@ raises `AttributeError`.  `VGlued` is a plain slotted class compared by
 identity; its one mutable slot, the cached unfolding, is written at most
 once and always with the same result, and nothing writes its other slots
 after construction.
+
+A closure refers to its `Globals` weakly, so that a `Globals` and the
+values it holds form no reference cycle.  A `Globals` must therefore
+outlive the values it produced: calling a closure whose `Globals` is
+gone raises `KernelBug`.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
+from .diagnostics import KernelBug
 from .records import record
 from .terms import Term
 
@@ -30,16 +37,20 @@ class Value:
 
 @record
 class Closure:
-    """A term body of `arity` binders over a captured environment."""
+    """A term body of `arity` binders over a captured environment, evaluated
+    against the `Globals` that `glob`, a weak reference, names."""
 
-    glob: "Globals"
+    glob: "weakref.ref[Globals]"
     env: tuple  # tuple[Value, ...], innermost binder last
     body: Term
     arity: int = 1
 
     def __call__(self, *args: Value) -> Value:
         assert len(args) == self.arity
-        return _evaluate.evaluate(self.glob, intern_env(self.env + args), self.body)
+        glob = self.glob()
+        if glob is None:
+            raise KernelBug("a closure was called after the Globals that evaluated it was freed")
+        return _evaluate.evaluate(glob, self.env + args, self.body)
 
 
 @record
@@ -214,30 +225,14 @@ class VGlued(Value):
         return VGlued(self.name, self.spine + (frame,), self, frame, None)
 
 
-# Environment tuples are interned by the identities of their elements so
-# that applying the same closure to the same argument objects twice
-# yields the same environment object.  Evaluation is memoized on
-# (globals, environment, term) identity, so this sharing is what lets
-# repeated evaluations return the very same value objects — which in
-# turn feeds the identity-based conversion memo.  The interning table
-# itself retains the stored tuples (and thus their elements), keeping
-# the keyed ids stable.
-_ENV_INTERN: dict = {}
-
-
-def intern_env(env: tuple) -> tuple:
-    key = tuple(map(id, env))
-    stored = _ENV_INTERN.get(key)
-    if stored is None:
-        _ENV_INTERN[key] = env
-        return env
-    return stored
-
-
-# Fresh variables are interned per level: conversion memoizes on object
-# identity, so η-expanding the same value twice must produce identical
-# objects, which requires the fresh variables themselves to be shared.
+# Fresh variables are shared per level, one object for each binder depth.
+# Both sides of a comparison under a binder then hold the very same
+# variable, so conversion's `a is b` test settles a variable against
+# itself without a structural comparison.  The table is as long as the
+# deepest binder seen, and no longer.
 _FRESH: list = []
+
+_ENV_INTERN: dict = {}  # always empty: no memo is kept; perfbench/traced_cli.py reads its size
 
 
 def fresh(level: int) -> VNeutral:

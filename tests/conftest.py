@@ -14,14 +14,15 @@ class CorpusRun:
     """One check of the emitted corpus with per-file wall times.
 
     `prefixes` limits the run to the files whose paths start with one of
-    them (all files by default), keeping manifest order.
+    them (all files by default), keeping manifest order.  The run keeps
+    its `Globals` as `glob`, which must outlive any value of the check.
     """
 
     def __init__(self, config: Config | None = None, sources=None, prefixes=("",)):
         self.files = []  # (HottFile, FileResult, seconds)
+        self.glob = glob = Globals(config or Config())
 
         def main():
-            glob = Globals(config or Config())
             for f in emit_corpus(2):
                 if not f.relpath.startswith(tuple(prefixes)):
                     continue

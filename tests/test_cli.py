@@ -247,18 +247,25 @@ def test_rebound_kernel_entry_points_route_every_call(tmp_path):
 def test_benchmark_tracer_finds_every_layer_it_wraps(tmp_path):
     # perfbench/traced_cli.py wraps the layers by module and function name;
     # a name it uses that has gone fails every traced run of the benchmark.
-    trace = tmp_path / "trace.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "perfbench/traced_cli.py", str(trace), "--format", "json", "check",
-         "corpus/generated/prelude/01-path-algebra.hott"],
-        cwd=ROOT, capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == EXIT_OK, done.stderr
-    summary = json.loads(trace.read_text())
-    for layer in ("tokenize", "parse_module", "resolve", "check_declaration", "subtype", "evaluate"):
-        assert summary["calls"].get(layer, 0) >= 1, layer
-    assert None not in summary["tables"].values()
+    path = "corpus/generated/prelude/01-path-algebra.hott"
+    commands = {
+        "check": (["--format", "json", "check", path],
+                  ("tokenize", "parse_module", "resolve", "check_declaration", "subtype", "evaluate")),
+        "normalize": (["normalize", path, "--name", "transportLoopRefl"], ("quote", "print_term")),
+    }
+    for command, (argv, layers) in commands.items():
+        trace = tmp_path / f"{command}.json"
+        done = subprocess.run(
+            [sys.executable, "perfbench/traced_cli.py", str(trace), *argv],
+            cwd=ROOT, capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        summary = json.loads(trace.read_text())
+        for layer in layers:
+            assert summary["calls"].get(layer, 0) >= 1, (command, layer)
+        sizes = summary["tables"].values()
+        assert len(sizes) == 4 and all(type(size) is int for size in sizes), (command, summary["tables"])
 
 
 # --- normalize ---

@@ -1,20 +1,26 @@
 """Kernel units: evaluation, conversion, bidirectional checking, subtyping."""
 
 import gc
+import hashlib
+import json
+import pathlib
 import sys
 import threading
 
 import pytest
 from conftest import check_one, core_term
 
+from minihott import cli
 from minihott import terms as t
 from minihott import values as v
 from minihott.conversion import conv
 from minihott.corpus.manifest import emit_corpus
 from minihott.evaluate import KernelBug, evaluate, normalize, quote
 from minihott.globals import Config, Globals
-from minihott.pipeline import check_source, run_deep
+from minihott.pipeline import check_files, check_source, run_deep
 from minihott.printer import print_term
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 ADD_SOURCE = """
 def add : Nat -> Nat -> Nat
@@ -75,6 +81,12 @@ def test_axioms_are_stuck():
 def test_unbound_variable_is_a_kernel_bug():
     with pytest.raises(KernelBug, match="unbound de Bruijn index 1 at depth 1"):
         evaluate(Globals(Config()), (v.fresh(0),), t.Var(1))
+
+
+def test_a_closure_outliving_its_globals_is_a_kernel_bug():
+    closure = eval_term("fun x => x")[1].body  # the Globals is freed here
+    with pytest.raises(KernelBug, match="after the Globals that evaluated it was freed"):
+        closure(v.VZero())
 
 
 def test_normalize_is_idempotent_on_samples():
@@ -315,3 +327,56 @@ def test_run_deep_restores_process_state(fails):
     else:
         assert run_deep(fn) == "from fn"
     assert (threading.stack_size(), sys.getrecursionlimit(), gc.isenabled()) == before
+
+
+# --- no state outlives a command: the kernel keeps no process-global tables ---
+
+
+def module_containers() -> dict:
+    """`len()` of each module-level dict, list and set of the loaded minihott modules."""
+    return {
+        f"{name}.{attr}": len(value)
+        for name, module in list(sys.modules.items())
+        if name == "minihott" or name.startswith("minihott.")
+        for attr, value in vars(module).items()
+        if not attr.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_check_and_normalize_leave_no_process_global_kernel_state(capsys):
+    cli._load_kernel()
+    before = module_containers()
+    path = "corpus/generated/prelude/01-path-algebra.hott"
+    assert cli.main(["check", str(ROOT / path)]) == cli.EXIT_OK
+    assert cli.main(["normalize", str(ROOT / path), "--name", "transportLoopRefl"]) == cli.EXIT_OK
+    after = module_containers()
+    grown = sorted(name for name, size in after.items() if size > before.get(name, 0))
+    # one shared fresh variable per binder depth, bounded by the deepest binder
+    assert set(grown) <= {"minihott.values._FRESH"}, grown
+
+
+# --- normal forms: a differential test of evaluation, quotation and printing
+# against the forms perfbench/expected/normal_forms.json records ---
+
+NORMAL_FORM_FILES = 13  # prelude, generic and level 0: the benchmark's normalize inputs
+NORMAL_FORM_MAX_BYTES = 40_000
+
+
+def test_normal_forms_match_the_recorded_ones():
+    manifest = json.loads((ROOT / "corpus" / "generated" / "manifest.json").read_text(encoding="utf-8"))
+    paths = [str(ROOT / "corpus" / "generated" / f["path"]) for f in manifest["files"][:NORMAL_FORM_FILES]]
+    recorded = json.loads((ROOT / "perfbench" / "expected" / "normal_forms.json").read_text(encoding="utf-8"))
+    expected = {
+        name: form for name, form in recorded.items() if form is not None and form["bytes"] <= NORMAL_FORM_MAX_BYTES
+    }
+
+    def normal_forms():
+        results, glob = check_files(paths)
+        assert all(result.ok for result in results)
+        forms = {}
+        for name in expected:
+            text = print_term(quote(0, glob.lookup(name).value)).encode("utf-8")
+            forms[name] = {"bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
+        return forms
+
+    assert run_deep(normal_forms) == expected
