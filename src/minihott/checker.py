@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import weakref
-
 from . import terms as t
 from . import values as v
 from .conversion import conv, subtype
@@ -104,7 +102,7 @@ class Checker:
         return print_term(quote(ctx.depth, value), [hint for hint, _ in ctx.entries])
 
     def eval_in(self, ctx: Context, term: t.Term) -> v.Value:
-        return evaluate(self.glob, ctx.env, term)
+        return evaluate(ctx.env, term)
 
     def conv(self, ctx: Context, a: v.Value, b: v.Value, ty: v.Value | None = None) -> bool:
         return conv(ctx.depth, a, b, ty, eta_sigma=self.glob.config.eta_sigma)
@@ -186,7 +184,7 @@ class Checker:
                 self.check(ctx, target, v.VEmpty())
                 motive_ctx = ctx.extend("e", v.VEmpty())
                 self.infer_type(motive_ctx, motive, "motive")
-                cl = v.Closure(weakref.ref(self.glob), ctx.env, motive, 1)
+                cl = v.Closure(ctx.env, motive, 1)
                 return cl(self.eval_in(ctx, target))
             case t.Star():
                 return v.VUnit()
@@ -196,7 +194,7 @@ class Checker:
                 self.check(ctx, target, v.VTwo())
                 motive_ctx = ctx.extend("b", v.VTwo())
                 self.infer_type(motive_ctx, motive, "motive")
-                cl = v.Closure(weakref.ref(self.glob), ctx.env, motive, 1)
+                cl = v.Closure(ctx.env, motive, 1)
                 self.check(ctx, if0, cl(v.VBit0()))
                 self.check(ctx, if1, cl(v.VBit1()))
                 return cl(self.eval_in(ctx, target))
@@ -221,7 +219,7 @@ class Checker:
         xy = x.extend("y", carrier)
         xyp = xy.extend("p", v.VId(carrier, v.fresh(ctx.depth), v.fresh(ctx.depth + 1)))
         self.infer_type(xyp, motive, "J motive")
-        motive_cl = v.Closure(weakref.ref(self.glob), ctx.env, motive, 3)
+        motive_cl = v.Closure(ctx.env, motive, 3)
         base_ctx = ctx.extend("x", carrier)
         base_var = v.fresh(ctx.depth)
         self.check(base_ctx, base, motive_cl(base_var, base_var, v.VRefl(base_var)))
@@ -231,7 +229,7 @@ class Checker:
         self.check(ctx, target, v.VNat())
         motive_ctx = ctx.extend("n", v.VNat())
         self.infer_type(motive_ctx, motive, "motive")
-        cl = v.Closure(weakref.ref(self.glob), ctx.env, motive, 1)
+        cl = v.Closure(ctx.env, motive, 1)
         self.check(ctx, base, cl(v.VZero()))
         n_var = v.fresh(ctx.depth)
         step_ctx = ctx.extend("n", v.VNat()).extend("ih", cl(n_var))
@@ -295,5 +293,5 @@ class Checker:
             self.fail("missing-body", f"{decl.kind} {decl.name} requires a body", decl.span)
         self.check(ctx, decl.body, ty_v)
         if decl.kind == "def":
-            self.glob.add_def(decl.name, ty_v, evaluate(self.glob, (), decl.body))
+            self.glob.add_def(decl.name, ty_v, evaluate((), decl.body))
         # goals are checked and reported but bind nothing

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import weakref
-
 from . import terms as t
 from . import values as v
 from .diagnostics import KernelBug
@@ -17,66 +15,69 @@ from .diagnostics import KernelBug
 _memo: dict = {}  # always empty: no memo is kept; perfbench/traced_cli.py reads its size
 
 
-def evaluate(glob, env: tuple, term: t.Term) -> v.Value:
+def evaluate(env: tuple, term: t.Term) -> v.Value:
     kind = type(term)
     if kind is t.Var:
         if term.index >= len(env):
             raise KernelBug(f"unbound de Bruijn index {term.index} at depth {len(env)}")
         return env[-1 - term.index]
     if kind is t.Ref:
-        return glob.value_of(term.name)
-    return _evaluate(glob, env, term)
+        try:
+            return term.target
+        except AttributeError:
+            raise KernelBug(f"reference to {term.name} was never linked") from None
+    return _evaluate(env, term)
 
 
-def _evaluate(glob, env: tuple, term: t.Term) -> v.Value:
+def _evaluate(env: tuple, term: t.Term) -> v.Value:
     match term:
         case t.Univ(level):
             return v.VUniv(level)
         case t.Pi(dom, cod):
-            return v.VPi(evaluate(glob, env, dom), v.Closure(weakref.ref(glob), env, cod))
+            return v.VPi(evaluate(env, dom), v.Closure(env, cod))
         case t.Lam(body):
-            return v.VLam(v.Closure(weakref.ref(glob), env, body))
+            return v.VLam(v.Closure(env, body))
         case t.App(fn, arg):
-            return apply(evaluate(glob, env, fn), evaluate(glob, env, arg))
+            return apply(evaluate(env, fn), evaluate(env, arg))
         case t.Sigma(fst_ty, snd_ty):
-            return v.VSigma(evaluate(glob, env, fst_ty), v.Closure(weakref.ref(glob), env, snd_ty))
+            return v.VSigma(evaluate(env, fst_ty), v.Closure(env, snd_ty))
         case t.Pair(fst, snd):
-            return v.VPair(evaluate(glob, env, fst), evaluate(glob, env, snd))
+            return v.VPair(evaluate(env, fst), evaluate(env, snd))
         case t.Fst(pair):
-            return project_fst(evaluate(glob, env, pair))
+            return project_fst(evaluate(env, pair))
         case t.Snd(pair):
-            return project_snd(evaluate(glob, env, pair))
+            return project_snd(evaluate(env, pair))
         case t.Id(ty, lhs, rhs):
             return v.VId(
-                evaluate(glob, env, ty),
-                evaluate(glob, env, lhs),
-                evaluate(glob, env, rhs),
+                evaluate(env, ty),
+                evaluate(env, lhs),
+                evaluate(env, rhs),
             )
         case t.Refl(arg):
-            return v.VRefl(evaluate(glob, env, arg))
+            return v.VRefl(evaluate(env, arg))
         case t.J(motive, base, path):
             return j_elim(
-                v.Closure(weakref.ref(glob), env, motive, 3),
-                v.Closure(weakref.ref(glob), env, base, 1),
-                evaluate(glob, env, path),
+                v.Closure(env, motive, 3),
+                v.Closure(env, base, 1),
+                evaluate(env, path),
             )
         case t.Nat():
             return v.VNat()
         case t.Zero():
             return v.VZero()
         case t.Suc(pred):
-            return v.VSuc(evaluate(glob, env, pred))
+            return v.VSuc(evaluate(env, pred))
         case t.NatElim(motive, base, step, target):
             return nat_elim(
-                v.Closure(weakref.ref(glob), env, motive, 1),
-                evaluate(glob, env, base),
-                v.Closure(weakref.ref(glob), env, step, 2),
-                evaluate(glob, env, target),
+                v.Closure(env, motive, 1),
+                evaluate(env, base),
+                v.Closure(env, step, 2),
+                evaluate(env, target),
             )
         case t.Empty():
             return v.VEmpty()
         case t.EmptyElim(motive, target):
-            return empty_elim(v.Closure(weakref.ref(glob), env, motive, 1), evaluate(glob, env, target))
+            return empty_elim(v.Closure(env, motive, 1), evaluate(env, target))
         case t.Unit():
             return v.VUnit()
         case t.Star():
@@ -89,13 +90,13 @@ def _evaluate(glob, env: tuple, term: t.Term) -> v.Value:
             return v.VBit1()
         case t.TwoElim(motive, if0, if1, target):
             return two_elim(
-                v.Closure(weakref.ref(glob), env, motive, 1),
-                evaluate(glob, env, if0),
-                evaluate(glob, env, if1),
-                evaluate(glob, env, target),
+                v.Closure(env, motive, 1),
+                evaluate(env, if0),
+                evaluate(env, if1),
+                evaluate(env, target),
             )
         case t.Ann(term_, _):
-            return evaluate(glob, env, term_)
+            return evaluate(env, term_)
         case _:
             raise KernelBug(f"evaluate: unhandled term {term!r}")
 
@@ -260,6 +261,7 @@ def quote_neutral(depth: int, head, spine: tuple) -> t.Term:
             term: t.Term = t.Var(depth - 1 - level)
         case v.VAxiom(name):
             term = t.Ref(name)
+            t.Linked.target.__set__(term, v.VNeutral(head))
         case _:
             raise KernelBug("bad neutral head")
     for frame in spine:
@@ -293,5 +295,5 @@ def quote_neutral(depth: int, head, spine: tuple) -> t.Term:
     return term
 
 
-def normalize(glob, env: tuple, term: t.Term) -> t.Term:
-    return quote(len(env), evaluate(glob, env, term))
+def normalize(env: tuple, term: t.Term) -> t.Term:
+    return quote(len(env), evaluate(env, term))

@@ -29,11 +29,11 @@ class Globals:
     A reference to an axiom evaluates to an opaque neutral head; a
     reference to a definition evaluates to a glued value whose unfolding
     is the definition's value, forced only where its shape is needed.
-    Closures refer to their `Globals` weakly (see `values`), so a
-    `Globals` must outlive every value it produced.
+    `resolver.Resolver` links each reference to its entry's `ref`, so
+    evaluation never looks a name up here.
     """
 
-    __slots__ = ("config", "entries", "__weakref__")
+    __slots__ = ("config", "entries")
 
     def __init__(self, config: Config | None = None) -> None:
         self.config = Config() if config is None else config
@@ -52,9 +52,3 @@ class Globals:
     def add_axiom(self, name: str, type_value: v.Value) -> None:
         ref = v.VNeutral(v.VAxiom(name))
         self.entries[name] = GlobalEntry("axiom", name, type_value, ref)
-
-    def value_of(self, name: str) -> v.Value:
-        return self.entries[name].ref
-
-    def names(self) -> set[str]:
-        return set(self.entries)

@@ -26,9 +26,9 @@ it goes: `Var(index)` for a bound name and `Ref(name)` for any other.
 Which global names exist is known only when a declaration is checked,
 since a rejected declaration binds nothing, so each declaration keeps a
 list of pending checks for `resolver.Resolver.resolve`: an `SVar` for
-each global occurrence and an `SElim` for each eliminator argument with
-too few binders, in the order in which a walk of the declaration's type,
-then its body, meets them.
+each global occurrence, holding the `Ref` to link, and an `SElim` for
+each eliminator argument with too few binders, in the order in which a
+walk of the declaration's type, then its body, meets them.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ def tokenize(source: str) -> list[Token]:
 
 @record
 class SVar:
-    """A name the parser did not find among the local binders: checked
-    against the global names when its declaration is."""
+    """A name the parser did not find among the local binders, as its
+    `Ref`: checked and linked when its declaration is."""
 
-    name: str
+    ref: t.Ref
     span: Span
     scope: tuple[str, ...]  # the local names in scope, for the did-you-mean hint
 
@@ -260,8 +260,9 @@ class Parser:
                 scope = self.scope
                 if text in scope:
                     return t.Var(scope.index(text))
-                self.pending.append(SVar(text, Span(start, end), scope))
-                return t.Ref(text)
+                ref = t.Ref(text)
+                self.pending.append(SVar(ref, Span(start, end), scope))
+                return ref
             case "univ":
                 self.pos += 1
                 self.end = end

@@ -45,9 +45,8 @@ def check_source(source: str, glob: Globals, file: str = "<input>") -> FileResul
         raise CheckFailure(exc.diagnostic, file) from None
     result = FileResult(CheckReport(file), module.pragmas)
     checker = Checker(glob)
-    known = glob.names()
-    resolver = Resolver(known)
-    seen = set(known)
+    resolver = Resolver(glob)
+    seen = set(glob.entries)
     for decl, pending in zip(module.decls, module.pending):
         start = time.perf_counter()
         try:
@@ -80,8 +79,6 @@ def check_source(source: str, glob: Globals, file: str = "<input>") -> FileResul
                 DeclReport(decl.name, decl.kind, "accepted", ms, decl.source_ref)
             )
             seen.add(decl.name)
-            if decl.kind != "goal":
-                known.add(decl.name)
     return result
 
 
@@ -109,8 +106,8 @@ def run_deep(fn, stack_mb: int = 512):
     Normalization of large proof terms recurses structurally; CPython's
     default limits are far too small for the deepest corpus terms.  The
     kernel creates no reference cycles (tests/test_kernel.py checks this;
-    closures refer to their `Globals` weakly), so a collection would free
-    nothing, yet it would walk every live value of the check.  The caller's
+    a reference links only to an earlier declaration), so a collection
+    would free nothing, yet it would walk every live value.  The caller's
     thread stack size, recursion limit and collector state are restored
     when `fn` returns or raises; a nested call leaves the collector off.
     """

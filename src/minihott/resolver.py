@@ -12,25 +12,30 @@ from __future__ import annotations
 import difflib
 
 from .diagnostics import CheckFailure, Diagnostic
+from .globals import Globals
 from .parser import CONSTS, SElim
+from .terms import Linked
 
 
 class Resolver:
-    def __init__(self, global_names: set[str]):
-        self.global_names = global_names
+    def __init__(self, glob: Globals):
+        self.glob = glob
 
     def resolve(self, pending: list) -> None:
-        """Raise the diagnostic of the first of a declaration's pending
-        checks that fails: an `SElim`, or an `SVar` whose name is not in
-        scope."""
-        known = self.global_names
+        """Link each `SVar`'s `Ref` to its `GlobalEntry.ref`, or raise the
+        diagnostic of the first of a declaration's pending checks that
+        fails: an `SElim`, or an `SVar` whose name is not in scope."""
+        entries = self.glob.entries
+        link = Linked.target.__set__
         for check in pending:
             if check.__class__ is SElim:
                 message = f"{check.what} must be a function of {check.count} argument(s)"
                 raise CheckFailure(Diagnostic("error", "resolve", message, check.span))
-            name = check.name
-            if name not in known:
-                close = difflib.get_close_matches(name, [*check.scope, *known, *CONSTS], n=1)
+            ref = check.ref
+            entry = entries.get(ref.name)
+            if entry is None:
+                close = difflib.get_close_matches(ref.name, [*check.scope, *entries, *CONSTS], n=1)
                 hint = f" (did you mean {close[0]!r}?)" if close else ""
-                message = f"unbound identifier {name!r}{hint}"
+                message = f"unbound identifier {ref.name!r}{hint}"
                 raise CheckFailure(Diagnostic("error", "resolve", message, check.span))
+            link(ref, entry.ref)

@@ -150,8 +150,17 @@ class TwoElim(Term):
     target: Term
 
 
+class Linked(Term):
+    """A term whose value is fixed when its name is resolved: `target`, a
+    slot but not a record field, so `==`, `hash` and `repr` ignore it.
+    The frozen `__setattr__` refuses it; only `Linked.target.__set__`
+    writes it."""
+
+    __slots__ = ("target",)
+
+
 @record
-class Ref(Term):
+class Ref(Linked):
     """Reference to a top-level definition or axiom."""
 
     name: str

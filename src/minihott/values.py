@@ -12,23 +12,16 @@ identity; its one mutable slot, the cached unfolding, is written at most
 once and always with the same result, and nothing writes its other slots
 after construction.
 
-A closure refers to its `Globals` weakly, so that a `Globals` and the
-values it holds form no reference cycle.  A `Globals` must therefore
-outlive the values it produced: calling a closure whose `Globals` is
-gone raises `KernelBug`.
+A closure needs no `Globals`: each reference in its body is linked to
+the value it evaluates to when its declaration's names are resolved
+(see `resolver`).  A reference can only name an earlier declaration, so
+values and the terms they hold form no reference cycle.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import TYPE_CHECKING
-
-from .diagnostics import KernelBug
 from .records import record
 from .terms import Term
-
-if TYPE_CHECKING:
-    from .globals import Globals
 
 
 class Value:
@@ -37,20 +30,15 @@ class Value:
 
 @record
 class Closure:
-    """A term body of `arity` binders over a captured environment, evaluated
-    against the `Globals` that `glob`, a weak reference, names."""
+    """A term body of `arity` binders over a captured environment."""
 
-    glob: "weakref.ref[Globals]"
     env: tuple  # tuple[Value, ...], innermost binder last
     body: Term
     arity: int = 1
 
     def __call__(self, *args: Value) -> Value:
         assert len(args) == self.arity
-        glob = self.glob()
-        if glob is None:
-            raise KernelBug("a closure was called after the Globals that evaluated it was freed")
-        return _evaluate.evaluate(glob, self.env + args, self.body)
+        return _evaluate.evaluate(self.env + args, self.body)
 
 
 @record

@@ -14,8 +14,8 @@ class CorpusRun:
     """One check of the emitted corpus with per-file wall times.
 
     `prefixes` limits the run to the files whose paths start with one of
-    them (all files by default), keeping manifest order.  The run keeps
-    its `Globals` as `glob`, which must outlive any value of the check.
+    them (all files by default), keeping manifest order.  The run's
+    `Globals` is `glob`.
     """
 
     def __init__(self, config: Config | None = None, sources=None, prefixes=("",)):
@@ -71,7 +71,8 @@ def check_one(source: str, config: Config | None = None):
 
 def core_term(text: str, glob: Globals | None = None) -> Term:
     """The core term of the surface term `text`, with the names of `glob`
-    as its globals; a resolve error raises `CheckFailure`."""
+    as its globals and its references linked to them; a resolve error
+    raises `CheckFailure`."""
     module = parse_module(f"def tmp : U0 := {text}")
-    Resolver(set() if glob is None else glob.names()).resolve(module.pending[0])
+    Resolver(Globals() if glob is None else glob).resolve(module.pending[0])
     return module.decls[0].body

@@ -194,7 +194,7 @@ def test_lazy_unfolding_agrees_with_eager_unfolding(monkeypatch):
 
     monkeypatch.setattr(checker, "subtype", recorded(conversion.subtype))
     monkeypatch.setattr(checker, "conv", recorded(conversion.conv))
-    corpus = CorpusRun(prefixes=THROUGH_LEVEL1)  # kept: its Globals must outlive the queries
+    corpus = CorpusRun(prefixes=THROUGH_LEVEL1)
     assert corpus.all_ok
     swap = mutated_run("prelude/07-two.hott", SWAP_BODY, SWAP_MUTANT, THROUGH_LEVEL1)
     assert swap.status_of("swapPathNontrivial") == "rejected"
@@ -208,12 +208,12 @@ def test_lazy_unfolding_agrees_with_eager_unfolding(monkeypatch):
     evaluated, compared, alive = {}, {}, []
     evaluate, conv_structural = evaluation.evaluate, conversion.conv_structural
 
-    def memo_evaluate(glob, env, term):
+    def memo_evaluate(env, term):
         if type(term) in (t.Var, t.Ref):
-            return evaluate(glob, env, term)
-        key = (id(glob), id(term), *map(id, env))
+            return evaluate(env, term)
+        key = (id(term), *map(id, env))
         if key not in evaluated:
-            evaluated[key] = evaluate(glob, env, term)
+            evaluated[key] = evaluate(env, term)
             alive.append((env, term))
         return evaluated[key]
 

@@ -91,9 +91,9 @@ def annotated_term(draw):
     return ty, text
 
 
-def eval_text(glob: Globals, text: str) -> v.Value:
+def eval_text(text: str) -> v.Value:
     term = core_term(text)
-    return evaluate(glob, (), term), term
+    return evaluate((), term), term
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,10 +109,9 @@ def test_generated_terms_check(case):
 @given(annotated_term())
 def test_normalization_idempotent(case):
     _, text = case
-    glob = Globals(Config())
-    _, term = eval_text(glob, text)
-    once = normalize(glob, (), term)
-    assert normalize(glob, (), once) == once
+    _, term = eval_text(text)
+    once = normalize((), term)
+    assert normalize((), once) == once
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,8 +120,7 @@ def test_canonicity_axiom_free(case):
     """Closed axiom-free terms at first-order types normalize to
     constructor-headed values."""
     ty, text = case
-    glob = Globals(Config())
-    value, _ = eval_text(glob, text)
+    value, _ = eval_text(text)
     assert constructor_headed(value, ty)
 
 
@@ -150,9 +148,8 @@ def constructor_headed(value: v.Value, ty) -> bool:
 @given(typed_term(ty=("fun", ("Nat",), ("Two",))))
 def test_eta_expansion_convertible(text):
     """λx. f x is convertible with f for sampled functions f."""
-    glob = Globals(Config())
-    f_value, _ = eval_text(glob, text)
-    eta_value, _ = eval_text(glob, f"(fun etaArg => {text} etaArg)")
+    f_value, _ = eval_text(text)
+    eta_value, _ = eval_text(f"(fun etaArg => {text} etaArg)")
     assert conv(0, eta_value, f_value)
 
 
