@@ -30,63 +30,6 @@ class Context:
         return self.entries[-1 - index][1]
 
 
-class DeclReport:
-    __slots__ = ("name", "kind", "status", "ms", "source_ref", "diagnostic")
-
-    def __init__(
-        self, name: str, kind: str, status: str, ms: float, source_ref: str, diagnostic: Diagnostic | None = None
-    ) -> None:
-        self.name = name
-        self.kind = kind
-        self.status = status  # "accepted" | "rejected"
-        self.ms = ms
-        self.source_ref = source_ref
-        self.diagnostic = diagnostic
-
-    def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "kind": self.kind,
-            "status": self.status,
-            "ref": self.source_ref,
-            "ms": round(self.ms, 3),
-        }
-        if self.diagnostic is not None:
-            out["diagnostic"] = self.diagnostic.to_json()
-        return out
-
-
-class CheckReport:
-    __slots__ = ("file", "declarations")
-
-    def __init__(self, file: str = "<input>") -> None:
-        self.file = file
-        self.declarations: list[DeclReport] = []
-
-    @property
-    def accepted(self) -> int:
-        return sum(1 for d in self.declarations if d.status == "accepted")
-
-    @property
-    def rejected(self) -> int:
-        return sum(1 for d in self.declarations if d.status == "rejected")
-
-    @property
-    def ok(self) -> bool:
-        return self.rejected == 0
-
-    def to_json(self) -> dict:
-        return {
-            "file": self.file,
-            "declarations": [d.to_json() for d in self.declarations],
-            "totals": {
-                "accepted": self.accepted,
-                "rejected": self.rejected,
-                "ms": round(sum(d.ms for d in self.declarations), 3),
-            },
-        }
-
-
 class Checker:
     def __init__(self, glob: Globals):
         self.glob = glob
@@ -94,7 +37,7 @@ class Checker:
     # -- helpers --
 
     def fail(self, code: str, message: str, span: Span = Span(0, 0)):
-        raise CheckFailure(Diagnostic("error", code, message, span))
+        raise CheckFailure(Diagnostic(code, message, span))
 
     def show(self, ctx: Context, value: v.Value) -> str:
         from .printer import print_term
@@ -199,10 +142,8 @@ class Checker:
                 self.check(ctx, if1, cl(v.VBit1()))
                 return cl(self.eval_in(ctx, target))
             case t.Ref(name):
-                entry = self.glob.lookup(name)
-                if entry is None:
-                    self.fail("unbound-name", f"reference to unknown or rejected declaration {name}")
-                return entry.type_value
+                # `Resolver.resolve` has rejected every unknown or rejected name
+                return self.glob.entries[name].type_value
             case t.Ann(inner, ty):
                 ty_v, _ = self.infer_type(ctx, ty, "annotation")
                 self.check(ctx, inner, ty_v)

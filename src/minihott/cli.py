@@ -99,11 +99,17 @@ def _config(args: argparse.Namespace) -> Config:
     return Config(max_level=max_level, eta_sigma=getattr(args, "eta_sigma", True))
 
 
+def _read_files(paths: list[str]):
+    """(path, text) of each file, read only when the driver reaches it."""
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            yield path, handle.read()
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     _load_kernel()
     config = _config(args)
-    results, _ = run_deep(lambda: check_files(args.files, config))
-    reports = [r.report for r in results]
+    reports, _ = run_deep(lambda: check_files(_read_files(args.files), config))
     if args.format == "json":
         print(json.dumps({"reports": [r.to_json() for r in reports]}, ensure_ascii=False, indent=2))
     else:
@@ -124,20 +130,20 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     config = _config(args)
 
     def run():
-        results, glob = check_files(args.files, config)
-        if not all(r.ok for r in results):
-            return None, None, results
+        reports, glob = check_files(_read_files(args.files), config)
+        if not all(r.ok for r in reports):
+            return None, None, reports
         entry = glob.lookup(args.name)
         if entry is None or entry.kind != "def":
-            return None, glob, results
-        return print_term(quote(0, entry.value)), glob, results
+            return None, glob, reports
+        return print_term(quote(0, entry.value)), glob, reports
 
-    normal, glob, results = run_deep(run)
+    normal, glob, reports = run_deep(run)
     if glob is None:
-        for result in results:
-            for decl in result.report.declarations:
+        for report in reports:
+            for decl in report.declarations:
                 if decl.diagnostic is not None:
-                    print(decl.diagnostic.format(result.report.file), file=sys.stderr)
+                    print(decl.diagnostic.format(report.file), file=sys.stderr)
         return EXIT_REJECTED
     if normal is None:
         print(f"error: no definition named {args.name!r} in the checked files", file=sys.stderr)

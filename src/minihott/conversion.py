@@ -78,8 +78,6 @@ def conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> b
         case (v.VUniv(i), v.VUniv(j)):
             return i == j
         case (v.VPi(d1, c1), v.VPi(d2, c2)) | (v.VSigma(d1, c1), v.VSigma(d2, c2)):
-            if type(a) is not type(b):
-                return False
             if not conv_structural(depth, d1, d2, eta_sigma=eta_sigma):
                 return False
             x = v.fresh(depth)

@@ -1,6 +1,6 @@
-"""String builders for emitting surface-syntax terms and declarations.
+"""Surface-syntax declarations and files of the generated corpus.
 
-The corpus is plain text; these helpers keep the emitted terms
+The corpus is plain text; `atom` keeps an emitted argument
 well-parenthesized without hand-counting parentheses.
 """
 
@@ -9,8 +9,6 @@ from __future__ import annotations
 import re
 
 _SIMPLE = re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$|^[0-9]+$|^U[0-9]+$")
-
-_HEAD_BREAKERS = ("=>", "->", "*", ",", ":")
 
 
 def atom(part: str) -> str:
@@ -33,61 +31,6 @@ def _wrapped(part: str) -> bool:
             if depth == 0:
                 return i == len(part) - 1
     return False
-
-
-def A(head: str, *args: str) -> str:
-    """Application: `head arg1 arg2 ...`."""
-    head = head.strip()
-    if any(b in head for b in _HEAD_BREAKERS) and not _wrapped(head):
-        head = f"({head})"
-    return " ".join([head] + [atom(a) for a in args])
-
-
-def lam(*parts: str) -> str:
-    """`lam("x", "y", body)` -> `fun x y => body`."""
-    *names, body = parts
-    return f"fun {' '.join(names)} => {body}"
-
-
-def pi(binders: str, cod: str) -> str:
-    """`pi("(x : A) (y : B)", cod)`; binders already rendered."""
-    return f"{binders} -> {cod}"
-
-
-def arrow(*types: str) -> str:
-    return " -> ".join(atom(t) if "->" in t or "*" in t else t for t in types)
-
-
-def sigma(name: str, fst_ty: str, snd_ty: str) -> str:
-    return f"({name} : {fst_ty}) * {snd_ty}"
-
-
-def times(a: str, b: str) -> str:
-    return f"{atom(a)} * {atom(b)}"
-
-
-def pair(*parts: str) -> str:
-    return f"({', '.join(parts)})"
-
-
-def Id(ty: str, lhs: str, rhs: str) -> str:
-    return f"Id {atom(ty)} {atom(lhs)} {atom(rhs)}"
-
-
-def J(motive: str, base: str, path: str) -> str:
-    return f"J {atom(motive)} {atom(base)} {atom(path)}"
-
-
-def refl(x: str) -> str:
-    return f"refl {atom(x)}"
-
-
-def fst(x: str) -> str:
-    return f"fst {atom(x)}"
-
-
-def snd(x: str) -> str:
-    return f"snd {atom(x)}"
 
 
 class Decl:

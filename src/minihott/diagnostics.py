@@ -14,17 +14,18 @@ class Span:
 
 @record
 class Diagnostic:
-    severity: str  # "error" | "warning"
+    """An error: every diagnostic rejects its declaration or its file."""
+
     code: str
     message: str
     span: Span
 
     def format(self, filename: str = "<input>") -> str:
-        return f"{filename}:{self.span.start}-{self.span.end}: {self.severity} [{self.code}] {self.message}"
+        return f"{filename}:{self.span.start}-{self.span.end}: error [{self.code}] {self.message}"
 
     def to_json(self) -> dict:
         return {
-            "severity": self.severity,
+            "severity": "error",
             "code": self.code,
             "message": self.message,
             "span": [self.span.start, self.span.end],

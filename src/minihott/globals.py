@@ -17,7 +17,6 @@ class Config:
 @record
 class GlobalEntry:
     kind: str  # "def" | "axiom"
-    name: str
     type_value: v.Value
     ref: v.Value  # what a reference to the name evaluates to
     value: v.Value | None = None  # definitions only: the unfolding
@@ -39,16 +38,13 @@ class Globals:
         self.config = Config() if config is None else config
         self.entries: dict[str, GlobalEntry] = {}
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
     def lookup(self, name: str) -> GlobalEntry | None:
         return self.entries.get(name)
 
     def add_def(self, name: str, type_value: v.Value, value: v.Value) -> None:
         ref = v.VGlued(name, (), None, None, value)
-        self.entries[name] = GlobalEntry("def", name, type_value, ref, value)
+        self.entries[name] = GlobalEntry("def", type_value, ref, value)
 
     def add_axiom(self, name: str, type_value: v.Value) -> None:
         ref = v.VNeutral(v.VAxiom(name))
-        self.entries[name] = GlobalEntry("axiom", name, type_value, ref)
+        self.entries[name] = GlobalEntry("axiom", type_value, ref)

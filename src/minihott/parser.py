@@ -113,7 +113,7 @@ def tokenize(source: str) -> list[Token]:
             text = text[3:].strip()
         elif kind == "bad":
             raise CheckFailure(
-                Diagnostic("error", "lex", f"unexpected character {text!r}", Span(start, start))
+                Diagnostic("lex", f"unexpected character {text!r}", Span(start, start))
             )
         # The token's group ends the pattern, so it ends where the match does.
         append((kind, text, start, m.end()))
@@ -173,7 +173,7 @@ class Parser:
         return tok
 
     def fail(self, message: str, tok: Token) -> None:
-        raise CheckFailure(Diagnostic("error", "parse", message, Span(tok[2], tok[3])))
+        raise CheckFailure(Diagnostic("parse", message, Span(tok[2], tok[3])))
 
     # -- modules and declarations --------------------------------------
 

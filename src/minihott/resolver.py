@@ -30,12 +30,12 @@ class Resolver:
         for check in pending:
             if check.__class__ is SElim:
                 message = f"{check.what} must be a function of {check.count} argument(s)"
-                raise CheckFailure(Diagnostic("error", "resolve", message, check.span))
+                raise CheckFailure(Diagnostic("resolve", message, check.span))
             ref = check.ref
             entry = entries.get(ref.name)
             if entry is None:
                 close = difflib.get_close_matches(ref.name, [*check.scope, *entries, *CONSTS], n=1)
                 hint = f" (did you mean {close[0]!r}?)" if close else ""
                 message = f"unbound identifier {ref.name!r}{hint}"
-                raise CheckFailure(Diagnostic("error", "resolve", message, check.span))
+                raise CheckFailure(Diagnostic("resolve", message, check.span))
             link(ref, entry.ref)

@@ -1,17 +1,16 @@
-import time
-
 import pytest
 
 from minihott.corpus.manifest import emit_corpus
 from minihott.globals import Config, Globals
 from minihott.parser import parse_module
-from minihott.pipeline import check_source, run_deep
+from minihott.pipeline import check_files, run_deep
 from minihott.resolver import Resolver
 from minihott.terms import Term
 
 
 class CorpusRun:
-    """One check of the emitted corpus with per-file wall times.
+    """One check of the emitted corpus, with each file's wall time in its
+    report.
 
     `prefixes` limits the run to the files whose paths start with one of
     them (all files by default), keeping manifest order.  The run's
@@ -19,43 +18,34 @@ class CorpusRun:
     """
 
     def __init__(self, config: Config | None = None, sources=None, prefixes=("",)):
-        self.files = []  # (HottFile, FileResult, seconds)
-        self.glob = glob = Globals(config or Config())
+        files = [f for f in emit_corpus(2) if f.relpath.startswith(tuple(prefixes))]
+        pairs = ((f.relpath, f.render() if sources is None else sources[f.relpath]) for f in files)
+        reports, self.glob = run_deep(lambda: check_files(pairs, config))
+        self.files = list(zip(files, reports))  # (HottFile, CheckReport)
 
-        def main():
-            for f in emit_corpus(2):
-                if not f.relpath.startswith(tuple(prefixes)):
-                    continue
-                source = f.render() if sources is None else sources[f.relpath]
-                start = time.perf_counter()
-                result = check_source(source, glob, file=f.relpath)
-                self.files.append((f, result, time.perf_counter() - start))
-
-        run_deep(main)
-
-    def result_for(self, suffix: str):
-        for f, result, _ in self.files:
+    def report_for(self, suffix: str):
+        for f, report in self.files:
             if f.relpath.endswith(suffix):
-                return result
+                return report
         raise KeyError(suffix)
 
     def seconds_through(self, prefix_list) -> float:
         return sum(
-            sec
-            for f, _, sec in self.files
+            report.ms / 1000
+            for f, report in self.files
             if any(f.relpath.startswith(p) for p in prefix_list)
         )
 
     def status_of(self, name: str) -> str:
-        for _, result, _ in self.files:
-            for decl in result.report.declarations:
+        for _, report in self.files:
+            for decl in report.declarations:
                 if decl.name == name:
                     return decl.status
         raise KeyError(name)
 
     @property
     def all_ok(self) -> bool:
-        return all(result.ok for _, result, _ in self.files)
+        return all(report.ok for _, report in self.files)
 
 
 @pytest.fixture(scope="session")
@@ -64,9 +54,9 @@ def corpus_run() -> CorpusRun:
 
 
 def check_one(source: str, config: Config | None = None):
-    """Check a single standalone source string; returns the FileResult."""
-    glob = Globals(config or Config())
-    return run_deep(lambda: check_source(source, glob))
+    """Check a single standalone source string; returns its CheckReport."""
+    [report], _ = run_deep(lambda: check_files([("<input>", source)], config))
+    return report
 
 
 def core_term(text: str, glob: Globals | None = None) -> Term:

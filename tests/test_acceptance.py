@@ -91,12 +91,11 @@ def pragma_set(pragma: str) -> set:
 
 
 def failing_files(run: CorpusRun) -> set:
-    return {f.relpath for f, result, _ in run.files if not result.ok}
+    return {f.relpath for f, report in run.files if not report.ok}
 
 
 def first_rejection(run: CorpusRun, relpath_suffix: str) -> str:
-    result = run.result_for(relpath_suffix)
-    for decl in result.report.declarations:
+    for decl in run.report_for(relpath_suffix).declarations:
         if decl.status == "rejected":
             return decl.name
     raise AssertionError(f"no rejection in {relpath_suffix}")
@@ -136,7 +135,7 @@ def test_mutation_swap_to_identity_is_rejected():
     assert run.status_of("swapPathNontrivial") == "rejected"
     assert run.status_of("swapInvol") == "accepted"
     assert run.status_of("swapIsEquiv") == "accepted"
-    assert run.result_for("prelude/07-two.hott").ok
+    assert run.report_for("prelude/07-two.hott").ok
 
 
 def test_mutation_remove_univalence_axioms():

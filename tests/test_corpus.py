@@ -33,8 +33,8 @@ def corpus_text(relpath: str) -> str:
 def test_whole_corpus_is_accepted(corpus_run):
     rejected = [
         (f.relpath, d.name)
-        for f, result, _ in corpus_run.files
-        for d in result.report.declarations
+        for f, report in corpus_run.files
+        for d in report.declarations
         if d.status != "accepted"
     ]
     assert rejected == []
@@ -154,7 +154,7 @@ def test_eta_sigma_pragma_is_exact():
     from minihott.globals import Config
 
     run = CorpusRun(config=Config(eta_sigma=False))
-    failing = {f.relpath for f, result, _ in run.files if not result.ok}
+    failing = {f.relpath for f, report in run.files if not report.ok}
     tagged = {f.relpath for f in emit_corpus(2) if "requires-eta-sigma" in f.pragmas}
     assert failing == tagged
     assert len(tagged) == 13

@@ -16,8 +16,8 @@ from minihott import values as v
 from minihott.conversion import conv
 from minihott.corpus.manifest import emit_corpus
 from minihott.evaluate import KernelBug, evaluate, normalize, quote
-from minihott.globals import Config, Globals
-from minihott.pipeline import check_files, check_source, run_deep
+from minihott.globals import Config
+from minihott.pipeline import check_files, run_deep
 from minihott.printer import print_term
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -35,10 +35,8 @@ def swap : Two -> Two
 
 def eval_term(source_term: str, prelude: str = "") -> v.Value:
     """Evaluate a standalone term after checking `prelude`."""
-    glob = Globals(Config())
-    if prelude:
-        result = check_source(prelude, glob)
-        assert result.ok
+    [report], glob = check_files([("<input>", prelude)])
+    assert report.ok
     return evaluate((), core_term(source_term, glob))
 
 
@@ -106,8 +104,8 @@ def test_normalize_is_idempotent_on_samples():
         "fun f => fun x => f (f x)",
         "(fun x => f x) 2",  # the normal form mentions the axiom `f`
     ]
-    glob = Globals(Config())
-    assert check_source(ADD_SOURCE + "axiom f : Nat -> Nat\n", glob).ok
+    [report], glob = check_files([("<input>", ADD_SOURCE + "axiom f : Nat -> Nat\n")])
+    assert report.ok
     for text in samples:
         term = core_term(text, glob)
         once = normalize((), term)
@@ -118,8 +116,8 @@ def test_normalize_is_idempotent_on_samples():
 
 
 def test_eta_for_functions():
-    glob = Globals(Config())
-    assert check_source("axiom f : Nat -> Nat", glob).ok
+    [report], glob = check_files([("<input>", "axiom f : Nat -> Nat")])
+    assert report.ok
     value = evaluate((), core_term("(fun x => f x, f)", glob))
     assert conv(0, value.fst, value.snd)
 
@@ -159,7 +157,7 @@ def test_swap_not_convertible_with_identity():
         "  := refl swap"
     )
     result = check_one(source)
-    assert result.report.declarations[-1].status == "rejected"
+    assert result.declarations[-1].status == "rejected"
 
 
 EXP2_SOURCE = """
@@ -187,14 +185,14 @@ def test_a_definition_on_different_arguments_is_unfolded():
         "goal sameValue : Id Two (isZero 1) (isZero 2) := refl zero2\n"
         "goal otherValue : Id Two (isZero 0) (isZero 2) := refl one2"
     )
-    statuses = [d.status for d in check_one(source).report.declarations]
+    statuses = [d.status for d in check_one(source).declarations]
     assert statuses == ["accepted", "accepted", "rejected"]
 
 
 def test_refl_endpoint_mismatch():
     result = check_one("goal bad : Id Two zero2 one2 := refl zero2")
-    assert result.report.declarations[-1].status == "rejected"
-    assert result.report.declarations[-1].diagnostic.code == "endpoint-mismatch"
+    assert result.declarations[-1].status == "rejected"
+    assert result.declarations[-1].diagnostic.code == "endpoint-mismatch"
 
 
 # --- universes and subtyping ---
@@ -217,7 +215,7 @@ def test_no_type_in_type():
     ],
 )
 def test_universe_levels_are_not_lowered(source):
-    [decl] = check_one(source).report.declarations
+    [decl] = check_one(source).declarations
     assert decl.diagnostic.code == "type-mismatch"
 
 
@@ -279,11 +277,51 @@ def test_universe_levels_are_not_lowered(source):
             "endpoint-mismatch",
             id="pair-components",
         ),
+        pytest.param("def bad : Nat -> Nat := fun n => n n", Config(), "not-a-function", id="app-head"),
+        pytest.param(
+            "def bad : Nat -> Nat := fun n => J (fun x y p => Nat) (fun x => 0) n",
+            Config(),
+            "not-a-path",
+            id="J-path",
+        ),
+        pytest.param("def bad : Nat -> Nat := fun n => snd n", Config(), "not-a-pair", id="snd-of-non-pair"),
+        pytest.param("def bad : Nat := fst (0, 0)", Config(), "cannot-infer", id="inferred-pair"),
+        pytest.param("def bad : Nat := fun x => x", Config(), "type-mismatch", id="lambda-against-non-pi"),
+        pytest.param("def bad : Nat := (0, 0)", Config(), "type-mismatch", id="pair-against-non-sigma"),
     ],
 )
 def test_kernel_rules_reject_their_killers(source, config, code):
-    [decl] = check_one(source, config).report.declarations
+    [decl] = check_one(source, config).declarations
     assert (decl.status, decl.diagnostic and decl.diagnostic.code) == ("rejected", code)
+
+
+# Each program reaches a rule that the corpus does not: `refl` in inference
+# position (a `J` path), and a definition's unfolding forced under a
+# `natElim` or an `emptyElim` frame.
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param(
+            "goal g : Id Nat 0 0 := J (fun x y p => Id Nat 0 0) (fun x => refl 0) (refl 1)",
+            id="inferred-refl",
+        ),
+        pytest.param(
+            "def two : Nat := 2\n"
+            "goal g : Id Nat (natElim (fun _ => Nat) 0 (fun k ih => suc ih) two) 2 := refl 2",
+            id="natElim-of-definition",
+        ),
+        pytest.param(
+            "axiom void : Empty\n"
+            "def alias : Empty := void\n"
+            "goal g : Id Nat (emptyElim (fun _ => Nat) alias) (emptyElim (fun _ => Nat) void)\n"
+            "  := refl (emptyElim (fun _ => Nat) void)",
+            id="emptyElim-of-definition",
+        ),
+    ],
+)
+def test_rules_the_corpus_does_not_reach_accept(source):
+    report = check_one(source)
+    assert report.ok, [d.diagnostic for d in report.declarations]
 
 
 def test_cumulativity_for_base_types():
@@ -318,7 +356,7 @@ def test_level_overflow():
     assert result.ok
     overflow = check_one("def a : U8 := U7", Config(max_level=8))
     assert not overflow.ok
-    assert overflow.report.declarations[0].diagnostic.code == "level-overflow"
+    assert overflow.declarations[0].diagnostic.code == "level-overflow"
 
 
 def test_annotation_erasure():
@@ -333,7 +371,7 @@ def test_goals_bind_nothing():
         "def usesGoal : U1 := g"
     )
     result = check_one(source)
-    statuses = [d.status for d in result.report.declarations]
+    statuses = [d.status for d in result.declarations]
     assert statuses == ["accepted", "rejected"]
 
 
@@ -356,14 +394,13 @@ def constFamily : U1 := (A : U0) -> A -> (B : U0) * B
 def test_checking_and_printing_create_no_reference_cycles():
     # Garbage in a reference cycle would stay until exit, since `run_deep`
     # turns the cyclic collector off.
-    prelude = [f.render() for f in emit_corpus(2) if f.relpath.startswith("prelude/")]
+    prelude = [(f.relpath, f.render()) for f in emit_corpus(2) if f.relpath.startswith("prelude/")]
 
     def work():
-        glob = Globals(Config())
-        for source in prelude:
-            assert check_source(source, glob).ok
-        result = check_source(REJECTIONS_SOURCE, glob)
-        diagnostics = [d.diagnostic for d in result.report.declarations]
+        reports, glob = check_files([*prelude, ("<input>", REJECTIONS_SOURCE)])
+        *prelude_reports, rejections = reports
+        assert all(report.ok for report in prelude_reports)
+        diagnostics = [d.diagnostic for d in rejections.declarations]
         assert [d and d.code for d in diagnostics] == [
             None,
             "type-mismatch",
@@ -439,15 +476,15 @@ NORMAL_FORM_MAX_BYTES = 40_000
 
 def test_normal_forms_match_the_recorded_ones():
     manifest = json.loads((ROOT / "corpus" / "generated" / "manifest.json").read_text(encoding="utf-8"))
-    paths = [str(ROOT / "corpus" / "generated" / f["path"]) for f in manifest["files"][:NORMAL_FORM_FILES]]
+    paths = [ROOT / "corpus" / "generated" / f["path"] for f in manifest["files"][:NORMAL_FORM_FILES]]
     recorded = json.loads((ROOT / "perfbench" / "expected" / "normal_forms.json").read_text(encoding="utf-8"))
     expected = {
         name: form for name, form in recorded.items() if form is not None and form["bytes"] <= NORMAL_FORM_MAX_BYTES
     }
 
     def normal_forms():
-        results, glob = check_files(paths)
-        assert all(result.ok for result in results)
+        reports, glob = check_files((str(path), path.read_text(encoding="utf-8")) for path in paths)
+        assert all(report.ok for report in reports)
         forms = {}
         for name in expected:
             text = print_term(quote(0, glob.lookup(name).value)).encode("utf-8")

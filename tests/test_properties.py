@@ -12,8 +12,7 @@ from minihott import values as v
 from minihott.conversion import conv
 from minihott.corpus.manifest import emit_corpus
 from minihott.evaluate import evaluate, normalize
-from minihott.globals import Config, Globals
-from minihott.pipeline import check_source, run_deep
+from minihott.pipeline import check_files, run_deep
 
 # --- a generator of well-typed closed terms (surface text) ---
 #
@@ -100,9 +99,8 @@ def eval_text(text: str) -> v.Value:
 @given(annotated_term())
 def test_generated_terms_check(case):
     ty, text = case
-    glob = Globals(Config())
-    result = check_source(f"def tmp : {type_text(ty)}\n  := {text}", glob)
-    assert result.ok, result.report.declarations[0].diagnostic
+    [report], _ = check_files([("<input>", f"def tmp : {type_text(ty)}\n  := {text}")])
+    assert report.ok, report.declarations[0].diagnostic
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,12 +167,8 @@ def _report_fingerprint(reports) -> bytes:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True).encode()
 
 
-def _check_sources(sources) -> list:
-    def main():
-        glob = Globals(Config())
-        return [check_source(text, glob, file=path).report for path, text in sources]
-
-    return run_deep(main)
+def _check_all(sources) -> list:
+    return run_deep(lambda: check_files(sources)[0])
 
 
 def _fast_slice():
@@ -187,7 +181,7 @@ def _fast_slice():
 
 
 def test_checking_determinism_three_runs():
-    fingerprints = {_report_fingerprint(_check_sources(_fast_slice())) for _ in range(3)}
+    fingerprints = {_report_fingerprint(_check_all(_fast_slice())) for _ in range(3)}
     assert len(fingerprints) == 1
 
 
@@ -197,7 +191,7 @@ def test_cumulativity_monotone_on_corpus_slice():
         (path, re.sub(r"\bU(\d)\b", lambda m: f"U{int(m.group(1)) + 1}", text))
         for path, text in _fast_slice()
     ]
-    reports = _check_sources(raised)
+    reports = _check_all(raised)
     rejected = [
         (r.file, d.name) for r in reports for d in r.declarations if d.status == "rejected"
     ]

@@ -17,10 +17,10 @@ import pytest
 
 from minihott import terms as t
 from minihott import values as v
-from minihott.checker import CheckReport
 from minihott.globals import Globals
 from minihott.oracle import FinBij, FinSet
 from minihott.parser import Module
+from minihott.pipeline import CheckReport
 
 MODULES = ("terms", "values", "parser", "diagnostics", "decls", "globals", "checker", "oracle")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "minihott"

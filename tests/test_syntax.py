@@ -55,6 +55,10 @@ def test_pragmas_and_source_refs_are_collected():
     assert module.decls[0].source_ref == "some-tag"
 
 
+def test_tuple_elements_associate_to_the_right():
+    assert core_term("(zero2, one2, star)") == t.Pair(t.Bit0(), t.Pair(t.Bit1(), t.Star()))
+
+
 def test_numeral_desugars_to_successor_chain():
     body = core_term("3")
     assert body == t.Suc(t.Suc(t.Suc(t.Zero())))
@@ -79,13 +83,12 @@ def test_resolve_unbound_identifier():
 
 
 def test_duplicate_toplevel_name_rejected():
-    from minihott.globals import Globals
-    from minihott.pipeline import check_source
+    from minihott.pipeline import check_files
 
-    result = check_source("def a : U1 := U0\ndef a : U1 := U0", Globals())
-    statuses = [d.status for d in result.report.declarations]
+    [report], _ = check_files([("<input>", "def a : U1 := U0\ndef a : U1 := U0")])
+    statuses = [d.status for d in report.declarations]
     assert statuses == ["accepted", "rejected"]
-    assert result.report.declarations[1].diagnostic.code == "duplicate-name"
+    assert report.declarations[1].diagnostic.code == "duplicate-name"
 
 
 # --- lexing: differential test against the one-match-per-lexeme lexer ---
@@ -120,7 +123,7 @@ def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
         m = _REFERENCE_TOKEN_RE.match(source, pos)
         if m is None:
             raise CheckFailure(
-                Diagnostic("error", "lex", f"unexpected character {source[pos]!r}", Span(pos, pos))
+                Diagnostic("lex", f"unexpected character {source[pos]!r}", Span(pos, pos))
             )
         span = (m.start(), m.end())
         kind = m.lastgroup
@@ -275,6 +278,11 @@ def close_term(term: t.Term, depth: int = 0) -> t.Term:
 def test_print_round_trip(raw):
     term = close_term(raw)
     assert roundtrip(term) == term
+
+
+def test_printer_renames_a_binder_that_clashes_with_a_context_name():
+    # At depth 1 the next invented name is `x1`, which the context already uses.
+    assert print_term(t.Lam(t.App(t.Var(0), t.Var(1))), ["x1"]) == "fun x1' => x1' x1"
 
 
 def test_print_round_trip_fixed_cases():
