@@ -1,4 +1,12 @@
-"""Evaluation into the semantic domain and quotation back to terms."""
+"""Evaluation into the semantic domain and quotation back to terms.
+
+Every step dispatches once on its node's class: `evaluate` looks the term's
+class up in `_EVAL`, `quote` the value's class in `_QUOTE`, and a neutral's
+spine frames are quoted through `_QUOTE_FRAME` and unfolded through
+`_ELIMINATE`, so a step costs the same whatever its class.  The eliminators
+(`apply`, `project_fst`, ...) test `value.__class__ is C`.  A class missing
+from a table is a `KernelBug`, never a bare `KeyError`.
+"""
 
 from __future__ import annotations
 
@@ -16,161 +24,134 @@ _memo: dict = {}  # always empty: no memo is kept; perfbench/traced_cli.py reads
 
 
 def evaluate(env: tuple, term: t.Term) -> v.Value:
-    kind = type(term)
-    if kind is t.Var:
-        if term.index >= len(env):
-            raise KernelBug(f"unbound de Bruijn index {term.index} at depth {len(env)}")
+    try:
+        rule = _EVAL[term.__class__]
+    except KeyError:
+        raise KernelBug(f"evaluate: unhandled term {term!r}") from None
+    return rule(env, term)
+
+
+def _eval_var(env: tuple, term: t.Var) -> v.Value:
+    try:
         return env[-1 - term.index]
-    if kind is t.Ref:
-        try:
-            return term.target
-        except AttributeError:
-            raise KernelBug(f"reference to {term.name} was never linked") from None
-    return _evaluate(env, term)
+    except IndexError:
+        raise KernelBug(f"unbound de Bruijn index {term.index} at depth {len(env)}") from None
 
 
-def _evaluate(env: tuple, term: t.Term) -> v.Value:
-    match term:
-        case t.Univ(level):
-            return v.VUniv(level)
-        case t.Pi(dom, cod):
-            return v.VPi(evaluate(env, dom), v.Closure(env, cod))
-        case t.Lam(body):
-            return v.VLam(v.Closure(env, body))
-        case t.App(fn, arg):
-            return apply(evaluate(env, fn), evaluate(env, arg))
-        case t.Sigma(fst_ty, snd_ty):
-            return v.VSigma(evaluate(env, fst_ty), v.Closure(env, snd_ty))
-        case t.Pair(fst, snd):
-            return v.VPair(evaluate(env, fst), evaluate(env, snd))
-        case t.Fst(pair):
-            return project_fst(evaluate(env, pair))
-        case t.Snd(pair):
-            return project_snd(evaluate(env, pair))
-        case t.Id(ty, lhs, rhs):
-            return v.VId(
-                evaluate(env, ty),
-                evaluate(env, lhs),
-                evaluate(env, rhs),
-            )
-        case t.Refl(arg):
-            return v.VRefl(evaluate(env, arg))
-        case t.J(motive, base, path):
-            return j_elim(
-                v.Closure(env, motive, 3),
-                v.Closure(env, base, 1),
-                evaluate(env, path),
-            )
-        case t.Nat():
-            return v.VNat()
-        case t.Zero():
-            return v.VZero()
-        case t.Suc(pred):
-            return v.VSuc(evaluate(env, pred))
-        case t.NatElim(motive, base, step, target):
-            return nat_elim(
-                v.Closure(env, motive, 1),
-                evaluate(env, base),
-                v.Closure(env, step, 2),
-                evaluate(env, target),
-            )
-        case t.Empty():
-            return v.VEmpty()
-        case t.EmptyElim(motive, target):
-            return empty_elim(v.Closure(env, motive, 1), evaluate(env, target))
-        case t.Unit():
-            return v.VUnit()
-        case t.Star():
-            return v.VStar()
-        case t.Two():
-            return v.VTwo()
-        case t.Bit0():
-            return v.VBit0()
-        case t.Bit1():
-            return v.VBit1()
-        case t.TwoElim(motive, if0, if1, target):
-            return two_elim(
-                v.Closure(env, motive, 1),
-                evaluate(env, if0),
-                evaluate(env, if1),
-                evaluate(env, target),
-            )
-        case t.Ann(term_, _):
-            return evaluate(env, term_)
-        case _:
-            raise KernelBug(f"evaluate: unhandled term {term!r}")
+def _eval_ref(env: tuple, term: t.Ref) -> v.Value:
+    try:
+        return term.target
+    except AttributeError:
+        raise KernelBug(f"reference to {term.name} was never linked") from None
+
+
+# Recursive steps call `evaluate` by its module name, so a wrapper installed
+# there (a test's memo, say) sees every evaluation.
+_EVAL = {
+    t.App: lambda env, term: apply(evaluate(env, term.fn), evaluate(env, term.arg)),
+    t.Var: _eval_var,
+    t.Ref: _eval_ref,
+    t.Lam: lambda env, term: v.VLam(v.Closure(env, term.body)),
+    t.Pi: lambda env, term: v.VPi(evaluate(env, term.dom), v.Closure(env, term.cod)),
+    t.Univ: lambda env, term: v.VUniv(term.level),
+    t.Sigma: lambda env, term: v.VSigma(evaluate(env, term.fst_ty), v.Closure(env, term.snd_ty)),
+    t.Pair: lambda env, term: v.VPair(evaluate(env, term.fst), evaluate(env, term.snd)),
+    t.Fst: lambda env, term: project_fst(evaluate(env, term.pair)),
+    t.Snd: lambda env, term: project_snd(evaluate(env, term.pair)),
+    t.Id: lambda env, term: v.VId(evaluate(env, term.ty), evaluate(env, term.lhs), evaluate(env, term.rhs)),
+    t.Refl: lambda env, term: v.VRefl(evaluate(env, term.arg)),
+    t.J: lambda env, term: j_elim(
+        v.Closure(env, term.motive, 3), v.Closure(env, term.base, 1), evaluate(env, term.path)
+    ),
+    t.Nat: lambda env, term: v.VNat(),
+    t.Zero: lambda env, term: v.VZero(),
+    t.Suc: lambda env, term: v.VSuc(evaluate(env, term.pred)),
+    t.NatElim: lambda env, term: nat_elim(
+        v.Closure(env, term.motive, 1),
+        evaluate(env, term.base),
+        v.Closure(env, term.step, 2),
+        evaluate(env, term.target),
+    ),
+    t.Empty: lambda env, term: v.VEmpty(),
+    t.EmptyElim: lambda env, term: empty_elim(v.Closure(env, term.motive, 1), evaluate(env, term.target)),
+    t.Unit: lambda env, term: v.VUnit(),
+    t.Star: lambda env, term: v.VStar(),
+    t.Two: lambda env, term: v.VTwo(),
+    t.Bit0: lambda env, term: v.VBit0(),
+    t.Bit1: lambda env, term: v.VBit1(),
+    t.TwoElim: lambda env, term: two_elim(
+        v.Closure(env, term.motive, 1),
+        evaluate(env, term.if0),
+        evaluate(env, term.if1),
+        evaluate(env, term.target),
+    ),
+    t.Ann: lambda env, term: evaluate(env, term.term),
+}
 
 
 def apply(fn: v.Value, arg: v.Value) -> v.Value:
-    match fn:
-        case v.VLam(body):
-            return body(arg)
-        case v.VNeutral() | v.VGlued():
-            return fn.extend(v.AppF(arg))
-        case _:
-            raise KernelBug(f"apply of non-function value {type(fn).__name__}")
+    kind = fn.__class__
+    if kind is v.VLam:
+        return fn.body(arg)
+    if kind is v.VNeutral or kind is v.VGlued:
+        return fn.extend(v.AppF(arg))
+    raise KernelBug(f"apply of non-function value {kind.__name__}")
 
 
 def project_fst(pair: v.Value) -> v.Value:
-    match pair:
-        case v.VPair(fst, _):
-            return fst
-        case v.VNeutral() | v.VGlued():
-            return pair.extend(v.FstF())
-        case _:
-            raise KernelBug("fst of non-pair value")
+    kind = pair.__class__
+    if kind is v.VPair:
+        return pair.fst
+    if kind is v.VNeutral or kind is v.VGlued:
+        return pair.extend(v.FstF())
+    raise KernelBug("fst of non-pair value")
 
 
 def project_snd(pair: v.Value) -> v.Value:
-    match pair:
-        case v.VPair(_, snd):
-            return snd
-        case v.VNeutral() | v.VGlued():
-            return pair.extend(v.SndF())
-        case _:
-            raise KernelBug("snd of non-pair value")
+    kind = pair.__class__
+    if kind is v.VPair:
+        return pair.snd
+    if kind is v.VNeutral or kind is v.VGlued:
+        return pair.extend(v.SndF())
+    raise KernelBug("snd of non-pair value")
 
 
 def j_elim(motive: v.Closure, base: v.Closure, path: v.Value) -> v.Value:
-    match path:
-        case v.VRefl(arg):
-            return base(arg)
-        case v.VNeutral() | v.VGlued():
-            return path.extend(v.JF(motive, base))
-        case _:
-            raise KernelBug("J applied to non-path value")
+    kind = path.__class__
+    if kind is v.VRefl:
+        return base(path.arg)
+    if kind is v.VNeutral or kind is v.VGlued:
+        return path.extend(v.JF(motive, base))
+    raise KernelBug("J applied to non-path value")
 
 
 def nat_elim(motive: v.Closure, base: v.Value, step: v.Closure, target: v.Value) -> v.Value:
-    match target:
-        case v.VZero():
-            return base
-        case v.VSuc(pred):
-            return step(pred, nat_elim(motive, base, step, pred))
-        case v.VNeutral() | v.VGlued():
-            return target.extend(v.NatElimF(motive, base, step))
-        case _:
-            raise KernelBug("natElim applied to non-numeral value")
+    kind = target.__class__
+    if kind is v.VZero:
+        return base
+    if kind is v.VSuc:
+        return step(target.pred, nat_elim(motive, base, step, target.pred))
+    if kind is v.VNeutral or kind is v.VGlued:
+        return target.extend(v.NatElimF(motive, base, step))
+    raise KernelBug("natElim applied to non-numeral value")
 
 
 def two_elim(motive: v.Closure, if0: v.Value, if1: v.Value, target: v.Value) -> v.Value:
-    match target:
-        case v.VBit0():
-            return if0
-        case v.VBit1():
-            return if1
-        case v.VNeutral() | v.VGlued():
-            return target.extend(v.TwoElimF(motive, if0, if1))
-        case _:
-            raise KernelBug("twoElim applied to non-boolean value")
+    kind = target.__class__
+    if kind is v.VBit0:
+        return if0
+    if kind is v.VBit1:
+        return if1
+    if kind is v.VNeutral or kind is v.VGlued:
+        return target.extend(v.TwoElimF(motive, if0, if1))
+    raise KernelBug("twoElim applied to non-boolean value")
 
 
 def empty_elim(motive: v.Closure, target: v.Value) -> v.Value:
-    match target:
-        case v.VNeutral() | v.VGlued():
-            return target.extend(v.EmptyElimF(motive))
-        case _:
-            raise KernelBug("emptyElim applied to a closed value")
+    kind = target.__class__
+    if kind is v.VNeutral or kind is v.VGlued:
+        return target.extend(v.EmptyElimF(motive))
+    raise KernelBug("emptyElim applied to a closed value")
 
 
 # --- delta unfolding ---
@@ -178,7 +159,7 @@ def empty_elim(motive: v.Closure, target: v.Value) -> v.Value:
 
 def whnf(value: v.Value) -> v.Value:
     """Unfold glued definitions until the value's shape is visible."""
-    while isinstance(value, v.VGlued):
+    while value.__class__ is v.VGlued:
         if value.unfolded is None:
             value.unfolded = _eliminate(whnf(value.parent), value.frame)
         value = value.unfolded
@@ -186,68 +167,57 @@ def whnf(value: v.Value) -> v.Value:
 
 
 def _eliminate(value: v.Value, frame) -> v.Value:
-    match frame:
-        case v.AppF(arg):
-            return apply(value, arg)
-        case v.FstF():
-            return project_fst(value)
-        case v.SndF():
-            return project_snd(value)
-        case v.JF(motive, base):
-            return j_elim(motive, base, value)
-        case v.NatElimF(motive, base, step):
-            return nat_elim(motive, base, step, value)
-        case v.TwoElimF(motive, if0, if1):
-            return two_elim(motive, if0, if1, value)
-        case v.EmptyElimF(motive):
-            return empty_elim(motive, value)
-        case _:
-            raise KernelBug("bad spine frame")
+    try:
+        rule = _ELIMINATE[frame.__class__]
+    except KeyError:
+        raise KernelBug("bad spine frame") from None
+    return rule(value, frame)
+
+
+_ELIMINATE = {
+    v.AppF: lambda value, frame: apply(value, frame.arg),
+    v.FstF: lambda value, frame: project_fst(value),
+    v.SndF: lambda value, frame: project_snd(value),
+    v.JF: lambda value, frame: j_elim(frame.motive, frame.base, value),
+    v.NatElimF: lambda value, frame: nat_elim(frame.motive, frame.base, frame.step, value),
+    v.TwoElimF: lambda value, frame: two_elim(frame.motive, frame.if0, frame.if1, value),
+    v.EmptyElimF: lambda value, frame: empty_elim(frame.motive, value),
+}
 
 
 # --- quotation ---
 
 
 def quote(depth: int, value: v.Value) -> t.Term:
-    match value:
-        case v.VUniv(level):
-            return t.Univ(level)
-        case v.VPi(dom, cod):
-            return t.Pi(quote(depth, dom), quote(depth + 1, cod(v.fresh(depth))))
-        case v.VLam(body):
-            return t.Lam(quote(depth + 1, body(v.fresh(depth))))
-        case v.VSigma(fst_ty, snd_ty):
-            return t.Sigma(quote(depth, fst_ty), quote(depth + 1, snd_ty(v.fresh(depth))))
-        case v.VPair(fst, snd):
-            return t.Pair(quote(depth, fst), quote(depth, snd))
-        case v.VId(ty, lhs, rhs):
-            return t.Id(quote(depth, ty), quote(depth, lhs), quote(depth, rhs))
-        case v.VRefl(arg):
-            return t.Refl(quote(depth, arg))
-        case v.VNat():
-            return t.Nat()
-        case v.VZero():
-            return t.Zero()
-        case v.VSuc(pred):
-            return t.Suc(quote(depth, pred))
-        case v.VEmpty():
-            return t.Empty()
-        case v.VUnit():
-            return t.Unit()
-        case v.VStar():
-            return t.Star()
-        case v.VTwo():
-            return t.Two()
-        case v.VBit0():
-            return t.Bit0()
-        case v.VBit1():
-            return t.Bit1()
-        case v.VNeutral(head, spine):
-            return quote_neutral(depth, head, spine)
-        case v.VGlued():
-            return quote(depth, whnf(value))
-        case _:
-            raise KernelBug(f"quote: unhandled value {value!r}")
+    try:
+        rule = _QUOTE[value.__class__]
+    except KeyError:
+        raise KernelBug(f"quote: unhandled value {value!r}") from None
+    return rule(depth, value)
+
+
+_QUOTE = {
+    v.VNeutral: lambda depth, value: quote_neutral(depth, value.head, value.spine),
+    v.VGlued: lambda depth, value: quote(depth, whnf(value)),
+    v.VLam: lambda depth, value: t.Lam(quote(depth + 1, value.body(v.fresh(depth)))),
+    v.VPi: lambda depth, value: t.Pi(quote(depth, value.dom), quote(depth + 1, value.cod(v.fresh(depth)))),
+    v.VUniv: lambda depth, value: t.Univ(value.level),
+    v.VSigma: lambda depth, value: t.Sigma(
+        quote(depth, value.fst_ty), quote(depth + 1, value.snd_ty(v.fresh(depth)))
+    ),
+    v.VPair: lambda depth, value: t.Pair(quote(depth, value.fst), quote(depth, value.snd)),
+    v.VId: lambda depth, value: t.Id(quote(depth, value.ty), quote(depth, value.lhs), quote(depth, value.rhs)),
+    v.VRefl: lambda depth, value: t.Refl(quote(depth, value.arg)),
+    v.VNat: lambda depth, value: t.Nat(),
+    v.VZero: lambda depth, value: t.Zero(),
+    v.VSuc: lambda depth, value: t.Suc(quote(depth, value.pred)),
+    v.VEmpty: lambda depth, value: t.Empty(),
+    v.VUnit: lambda depth, value: t.Unit(),
+    v.VStar: lambda depth, value: t.Star(),
+    v.VTwo: lambda depth, value: t.Two(),
+    v.VBit0: lambda depth, value: t.Bit0(),
+    v.VBit1: lambda depth, value: t.Bit1(),
+}
 
 
 def quote_closure(depth: int, closure: v.Closure) -> t.Term:
@@ -256,43 +226,39 @@ def quote_closure(depth: int, closure: v.Closure) -> t.Term:
 
 
 def quote_neutral(depth: int, head, spine: tuple) -> t.Term:
-    match head:
-        case v.VVar(level):
-            term: t.Term = t.Var(depth - 1 - level)
-        case v.VAxiom(name):
-            term = t.Ref(name)
-            t.Linked.target.__set__(term, v.VNeutral(head))
-        case _:
-            raise KernelBug("bad neutral head")
+    kind = head.__class__
+    if kind is v.VVar:
+        term: t.Term = t.Var(depth - 1 - head.level)
+    elif kind is v.VAxiom:
+        term = t.Ref(head.name)
+        t.Linked.target.__set__(term, v.VNeutral(head))
+    else:
+        raise KernelBug("bad neutral head")
     for frame in spine:
-        match frame:
-            case v.AppF(arg):
-                term = t.App(term, quote(depth, arg))
-            case v.FstF():
-                term = t.Fst(term)
-            case v.SndF():
-                term = t.Snd(term)
-            case v.JF(motive, base):
-                term = t.J(quote_closure(depth, motive), quote_closure(depth, base), term)
-            case v.NatElimF(motive, base, step):
-                term = t.NatElim(
-                    quote_closure(depth, motive),
-                    quote(depth, base),
-                    quote_closure(depth, step),
-                    term,
-                )
-            case v.TwoElimF(motive, if0, if1):
-                term = t.TwoElim(
-                    quote_closure(depth, motive),
-                    quote(depth, if0),
-                    quote(depth, if1),
-                    term,
-                )
-            case v.EmptyElimF(motive):
-                term = t.EmptyElim(quote_closure(depth, motive), term)
-            case _:
-                raise KernelBug("bad spine frame")
+        try:
+            rule = _QUOTE_FRAME[frame.__class__]
+        except KeyError:
+            raise KernelBug("bad spine frame") from None
+        term = rule(depth, frame, term)
     return term
+
+
+# Each rule wraps the quoted neutral `term` in the frame's eliminator.
+_QUOTE_FRAME = {
+    v.AppF: lambda depth, frame, term: t.App(term, quote(depth, frame.arg)),
+    v.FstF: lambda depth, frame, term: t.Fst(term),
+    v.SndF: lambda depth, frame, term: t.Snd(term),
+    v.JF: lambda depth, frame, term: t.J(
+        quote_closure(depth, frame.motive), quote_closure(depth, frame.base), term
+    ),
+    v.NatElimF: lambda depth, frame, term: t.NatElim(
+        quote_closure(depth, frame.motive), quote(depth, frame.base), quote_closure(depth, frame.step), term
+    ),
+    v.TwoElimF: lambda depth, frame, term: t.TwoElim(
+        quote_closure(depth, frame.motive), quote(depth, frame.if0), quote(depth, frame.if1), term
+    ),
+    v.EmptyElimF: lambda depth, frame, term: t.EmptyElim(quote_closure(depth, frame.motive), term),
+}
 
 
 def normalize(env: tuple, term: t.Term) -> t.Term:

@@ -59,6 +59,15 @@ def check_one(source: str, config: Config | None = None):
     return report
 
 
+def without_ms(value):
+    """A JSON report with every `ms` field left out."""
+    if isinstance(value, dict):
+        return {k: without_ms(v) for k, v in value.items() if k != "ms"}
+    if isinstance(value, list):
+        return [without_ms(v) for v in value]
+    return value
+
+
 def core_term(text: str, glob: Globals | None = None) -> Term:
     """The core term of the surface term `text`, with the names of `glob`
     as its globals and its references linked to them; a resolve error

@@ -2,6 +2,7 @@
 idempotence, and the report-schema contract."""
 
 import gc
+import importlib.util
 import json
 import os
 import pathlib
@@ -10,6 +11,7 @@ import sys
 
 import jsonschema
 import pytest
+from conftest import without_ms
 
 from minihott.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, MAX_LEVEL_ENV, main
 
@@ -460,3 +462,43 @@ def test_main_in_process_leaves_the_collector_as_it_found_it(tmp_path, capsys, e
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+# --- the same reports on every supported CPython ---
+
+
+def sibling_interpreters() -> list[pathlib.Path]:
+    """CPython 3.10, 3.12 and 3.13 installed beside the running interpreter,
+    as pyenv lays out its versions (`<root>/versions/3.12.1/bin/python`)."""
+    versions = pathlib.Path(sys.base_prefix).parent
+    return sorted(
+        python
+        for pattern in ("3.10*", "3.12*", "3.13*")
+        for python in versions.glob(f"{pattern}/bin/python")
+        if python.parent.parent != pathlib.Path(sys.base_prefix)
+    )
+
+
+def test_reports_are_identical_under_sibling_interpreters(tmp_path):
+    interpreters = sibling_interpreters()
+    if not interpreters:
+        pytest.skip("no CPython 3.10, 3.12 or 3.13 next to the running interpreter")
+    spec = importlib.util.spec_from_file_location("synth", ROOT / "perfbench" / "synth.py")
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    synth_path = tmp_path / "synth-1.hott"
+    synth_path.write_text(synth.program(1)[0])
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def report(python, path) -> tuple[int, dict]:
+        done = subprocess.run(
+            [str(python), "-m", "minihott", "--format", "json", "check", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return done.returncode, without_ms(json.loads(done.stdout))
+
+    for path in (ROOT / "corpus" / "generated" / "prelude" / "01-path-algebra.hott", synth_path):
+        expected = report(sys.executable, path)
+        assert expected[0] == (EXIT_OK if path != synth_path else EXIT_REJECTED)
+        for python in interpreters:
+            assert report(python, path) == expected, python

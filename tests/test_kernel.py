@@ -8,14 +8,15 @@ import sys
 import threading
 
 import pytest
-from conftest import check_one, core_term
+from conftest import CorpusRun, check_one, core_term
 
-from minihott import cli
+from minihott import cli, conversion
+from minihott import evaluate as evaluation
 from minihott import terms as t
 from minihott import values as v
 from minihott.conversion import conv
 from minihott.corpus.manifest import emit_corpus
-from minihott.evaluate import KernelBug, evaluate, normalize, quote
+from minihott.evaluate import KernelBug, apply, evaluate, normalize, project_fst, project_snd, quote, whnf
 from minihott.globals import Config
 from minihott.pipeline import check_files, run_deep
 from minihott.printer import print_term
@@ -492,3 +493,242 @@ def test_normal_forms_match_the_recorded_ones():
         return forms
 
     assert run_deep(normal_forms) == expected
+
+
+# --- dispatch tables: every class has a rule, and a stray class is a KernelBug ---
+
+
+def records_of(module, base=object) -> set:
+    """The `records.record` classes of `module` that subclass `base`."""
+    return {
+        c for c in vars(module).values() if isinstance(c, type) and issubclass(c, base) and hasattr(c, "__match_args__")
+    }
+
+
+VALUE_CLASSES = {c for c in vars(v).values() if isinstance(c, type) and issubclass(c, v.Value)} - {v.Value}
+FRAME_CLASSES = records_of(v) - records_of(v, v.Value) - {v.Closure, v.VVar, v.VAxiom}
+
+
+def test_dispatch_tables_cover_every_class():
+    assert v.VGlued in VALUE_CLASSES and len(FRAME_CLASSES) == 7
+    assert set(evaluation._EVAL) == records_of(t, t.Term)
+    assert set(evaluation._QUOTE) == VALUE_CLASSES
+    assert set(conversion._SAME) == VALUE_CLASSES - {v.VGlued}  # whnf unfolds every glued value
+    for table in (evaluation._ELIMINATE, evaluation._QUOTE_FRAME, conversion._FRAME_EQ):
+        assert set(table) == FRAME_CLASSES
+
+
+def test_a_class_without_a_rule_is_a_kernel_bug():
+    class StrayTerm(t.Term):
+        __slots__ = ()
+
+    class StrayValue(v.Value):
+        __slots__ = ()
+
+    class StrayFrame:
+        pass
+
+    x = v.fresh(0)
+    stray_spine = v.VNeutral(x.head, (StrayFrame(),))
+    for fail in (
+        lambda: evaluate((), StrayTerm()),
+        lambda: quote(0, StrayValue()),
+        lambda: quote(1, stray_spine),
+        lambda: conversion.conv_structural(0, StrayValue(), StrayValue(), eta_sigma=True),
+        lambda: conversion.conv_structural(1, stray_spine, v.VNeutral(x.head, (StrayFrame(),)), eta_sigma=True),
+        lambda: evaluation.whnf(v.VGlued("g", (StrayFrame(),), v.VGlued("g", (), None, None, x), StrayFrame(), None)),
+    ):
+        with pytest.raises(KernelBug):
+            fail()
+
+
+# --- conversion: a differential test against the match-based rules the
+# dispatch tables replaced, kept here verbatim as the reference ---
+
+
+def _same_glued(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
+    """The same definition under convertible spines (a sufficient test)."""
+    return (
+        isinstance(a, v.VGlued)
+        and isinstance(b, v.VGlued)
+        and a.name == b.name
+        and spine_eq(depth, a.spine, b.spine, eta_sigma=eta_sigma)
+    )
+
+
+def conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
+    if a is b:
+        return True
+    if _same_glued(depth, a, b, eta_sigma=eta_sigma):
+        return True
+    a, b = whnf(a), whnf(b)
+    if a is b:
+        return True
+    # untyped η for functions and pairs
+    if isinstance(a, v.VLam) or isinstance(b, v.VLam):
+        x = v.fresh(depth)
+        return conv_structural(depth + 1, apply(a, x), apply(b, x), eta_sigma=eta_sigma)
+    if eta_sigma and (isinstance(a, v.VPair) or isinstance(b, v.VPair)):
+        if not _projectable(a) or not _projectable(b):
+            return False
+        return conv_structural(
+            depth, project_fst(a), project_fst(b), eta_sigma=eta_sigma
+        ) and conv_structural(depth, project_snd(a), project_snd(b), eta_sigma=eta_sigma)
+
+    match (a, b):
+        case (v.VUniv(i), v.VUniv(j)):
+            return i == j
+        case (v.VPi(d1, c1), v.VPi(d2, c2)) | (v.VSigma(d1, c1), v.VSigma(d2, c2)):
+            if not conv_structural(depth, d1, d2, eta_sigma=eta_sigma):
+                return False
+            x = v.fresh(depth)
+            return conv_structural(depth + 1, c1(x), c2(x), eta_sigma=eta_sigma)
+        case (v.VPair(x1, y1), v.VPair(x2, y2)):
+            return conv_structural(depth, x1, x2, eta_sigma=eta_sigma) and conv_structural(
+                depth, y1, y2, eta_sigma=eta_sigma
+            )
+        case (v.VId(t1, l1, r1), v.VId(t2, l2, r2)):
+            return (
+                conv_structural(depth, t1, t2, eta_sigma=eta_sigma)
+                and conv_structural(depth, l1, l2, eta_sigma=eta_sigma)
+                and conv_structural(depth, r1, r2, eta_sigma=eta_sigma)
+            )
+        case (v.VRefl(x1), v.VRefl(x2)):
+            return conv_structural(depth, x1, x2, eta_sigma=eta_sigma)
+        case (v.VSuc(p1), v.VSuc(p2)):
+            return conv_structural(depth, p1, p2, eta_sigma=eta_sigma)
+        case (v.VNeutral(h1, s1), v.VNeutral(h2, s2)):
+            return h1 == h2 and spine_eq(depth, s1, s2, eta_sigma=eta_sigma)
+        case (
+            (v.VNat(), v.VNat())
+            | (v.VZero(), v.VZero())
+            | (v.VEmpty(), v.VEmpty())
+            | (v.VUnit(), v.VUnit())
+            | (v.VStar(), v.VStar())
+            | (v.VTwo(), v.VTwo())
+            | (v.VBit0(), v.VBit0())
+            | (v.VBit1(), v.VBit1())
+        ):
+            return True
+        case _:
+            return False
+
+
+def _projectable(value: v.Value) -> bool:
+    return isinstance(value, (v.VPair, v.VNeutral))
+
+
+def closure_eq(depth: int, c1: v.Closure, c2: v.Closure, *, eta_sigma: bool) -> bool:
+    if c1.arity != c2.arity:
+        return False
+    args = tuple(v.fresh(depth + i) for i in range(c1.arity))
+    return conv_structural(depth + c1.arity, c1(*args), c2(*args), eta_sigma=eta_sigma)
+
+
+def spine_eq(depth: int, s1: tuple, s2: tuple, *, eta_sigma: bool) -> bool:
+    if len(s1) != len(s2):
+        return False
+    for f1, f2 in zip(s1, s2):
+        match (f1, f2):
+            case (v.AppF(a1), v.AppF(a2)):
+                if not conv_structural(depth, a1, a2, eta_sigma=eta_sigma):
+                    return False
+            case (v.FstF(), v.FstF()) | (v.SndF(), v.SndF()):
+                pass
+            case (v.JF(m1, b1), v.JF(m2, b2)):
+                if not (
+                    closure_eq(depth, m1, m2, eta_sigma=eta_sigma)
+                    and closure_eq(depth, b1, b2, eta_sigma=eta_sigma)
+                ):
+                    return False
+            case (v.NatElimF(m1, z1, st1), v.NatElimF(m2, z2, st2)):
+                if not (
+                    closure_eq(depth, m1, m2, eta_sigma=eta_sigma)
+                    and conv_structural(depth, z1, z2, eta_sigma=eta_sigma)
+                    and closure_eq(depth, st1, st2, eta_sigma=eta_sigma)
+                ):
+                    return False
+            case (v.TwoElimF(m1, a1, b1), v.TwoElimF(m2, a2, b2)):
+                if not (
+                    closure_eq(depth, m1, m2, eta_sigma=eta_sigma)
+                    and conv_structural(depth, a1, a2, eta_sigma=eta_sigma)
+                    and conv_structural(depth, b1, b2, eta_sigma=eta_sigma)
+                ):
+                    return False
+            case (v.EmptyElimF(m1), v.EmptyElimF(m2)):
+                if not closure_eq(depth, m1, m2, eta_sigma=eta_sigma):
+                    return False
+            case _:
+                return False
+    return True
+
+
+# Programs that conversion rejects, so that the comparison sees `False` answers.
+REJECTED_BY_CONVERSION = (
+    "axiom a : Nat\naxiom b : Nat\ngoal bad : Id Nat a b := refl a",
+    "goal bad : Id U2 U0 U1 := refl U0",
+    "goal bad : Id U1 U0 (Nat -> Nat) := refl U0",
+    "goal bad : Id (Two -> Two) (fun b => b) (fun b => zero2) := refl (fun b => b)",
+    "axiom p : Nat * Nat\ngoal bad : Id (Nat * Nat) p (snd p, fst p) := refl p",
+    "axiom f : Nat -> Nat\ngoal bad : Id Nat (f 1) (f 2) := refl (f 1)",
+)
+
+
+@pytest.mark.parametrize("eta_sigma", [True, False])
+def test_conversion_agrees_with_the_match_based_rules(monkeypatch, eta_sigma):
+    """Every outermost `conv_structural` call of a check through level 0,
+    and of programs conversion rejects, gives the reference's answer on
+    the same values."""
+    table_based = conversion.conv_structural
+    answers = []  # (tables, reference) for each outermost call
+    nested = False
+
+    def both(depth, a, b, *, eta_sigma):
+        nonlocal nested
+        if nested:
+            return table_based(depth, a, b, eta_sigma=eta_sigma)
+        nested = True
+        try:
+            answer = table_based(depth, a, b, eta_sigma=eta_sigma)
+        finally:
+            nested = False
+        answers.append((answer, conv_structural(depth, a, b, eta_sigma=eta_sigma)))
+        return answer
+
+    monkeypatch.setattr(conversion, "conv_structural", both)
+    run = CorpusRun(Config(eta_sigma=eta_sigma), prefixes=("prelude/", "generic/", "levels/level0/"))
+    assert run.all_ok == eta_sigma
+    for source in REJECTED_BY_CONVERSION:
+        assert not check_one(source, Config(eta_sigma=eta_sigma)).ok, source
+    assert len(answers) > 1000
+    assert [pair for pair in answers if pair[0] != pair[1]] == []
+    assert (False, False) in answers
+
+
+def mixed_class_cases():
+    """(a, b, depth, answer with η for Σ, answer without) for values of two classes."""
+    f, p = v.fresh(0), v.fresh(0)
+    eta_f = v.VLam(v.Closure((f,), t.App(t.Var(1), t.Var(0))))  # fun x => f x
+    const_zero = v.VLam(v.Closure((), t.Zero()))
+    eta_p = v.VPair(project_fst(p), project_snd(p))  # (fst p, snd p)
+    swapped = v.VPair(project_snd(p), project_fst(p))
+    nat_to_nat = v.VPi(v.VNat(), v.Closure((), t.Nat()))
+    return {
+        "lambda-against-neutral": (eta_f, f, 1, True, True),
+        "neutral-against-lambda": (f, eta_f, 1, True, True),
+        "other-lambda-against-neutral": (const_zero, f, 1, False, False),
+        "pair-against-neutral": (eta_p, p, 1, True, False),
+        "neutral-against-pair": (p, eta_p, 1, True, False),
+        "other-pair-against-neutral": (swapped, p, 1, False, False),
+        "pair-against-nat": (eta_p, v.VNat(), 1, False, False),
+        "universe-against-pi": (v.VUniv(0), nat_to_nat, 0, False, False),
+    }
+
+
+@pytest.mark.parametrize("eta_sigma", [True, False])
+@pytest.mark.parametrize("case", sorted(mixed_class_cases()))
+def test_conversion_of_mixed_classes_agrees_with_the_match_based_rules(case, eta_sigma):
+    a, b, depth, with_eta, without_eta = mixed_class_cases()[case]
+    answer = conversion.conv_structural(depth, a, b, eta_sigma=eta_sigma)
+    assert answer == conv_structural(depth, a, b, eta_sigma=eta_sigma)
+    assert answer == (with_eta if eta_sigma else without_eta)

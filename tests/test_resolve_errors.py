@@ -12,6 +12,7 @@ import json
 import pathlib
 
 import pytest
+from conftest import without_ms
 
 from minihott.cli import main
 
@@ -146,14 +147,6 @@ def cases() -> dict:
     for name, text in FILE_ERRORS.items():
         out[name] = [("a.hott", PRELUDE + "def d : Nat := zzz\n"), ("b.hott", text)]
     return out
-
-
-def without_ms(value):
-    if isinstance(value, dict):
-        return {k: without_ms(v) for k, v in value.items() if k != "ms"}
-    if isinstance(value, list):
-        return [without_ms(v) for v in value]
-    return value
 
 
 def run_case(files, tmp_path, monkeypatch, capsys) -> dict:
