@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from . import printer
 from . import terms as t
 from . import values as v
 from .conversion import conv, subtype
@@ -40,9 +41,8 @@ class Checker:
         raise CheckFailure(Diagnostic(code, message, span))
 
     def show(self, ctx: Context, value: v.Value) -> str:
-        from .printer import print_term
-
-        return print_term(quote(ctx.depth, value), [hint for hint, _ in ctx.entries])
+        # through the module, so that a wrapper of `printer.print_term` sees the call
+        return printer.print_term(quote(ctx.depth, value), [hint for hint, _ in ctx.entries])
 
     def eval_in(self, ctx: Context, term: t.Term) -> v.Value:
         return evaluate(ctx.env, term)

@@ -15,6 +15,7 @@ import itertools
 import math
 import time
 
+from .diagnostics import Diagnostic, Span
 from .records import record
 
 DEFAULT_BOUND = 4
@@ -148,12 +149,8 @@ class OracleReport:
             "cases": self.cases,
         }
         if self.counterexamples:
-            out["diagnostic"] = {
-                "severity": "error",
-                "code": "counterexample",
-                "message": "; ".join(self.counterexamples[:5]),
-                "span": [0, 0],
-            }
+            message = "; ".join(self.counterexamples[:5])
+            out["diagnostic"] = Diagnostic("counterexample", message, Span(0, 0)).to_json()
         return out
 
 

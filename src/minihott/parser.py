@@ -40,7 +40,8 @@ from .decls import Declaration
 from .diagnostics import CheckFailure, Diagnostic, Span
 from .records import record
 
-_CONST_TERMS: dict[str, t.Term] = {
+# Each constant's keyword and term; the printer reads its keywords here and in `ELIMS`.
+CONST_TERMS: dict[str, t.Term] = {
     "Nat": t.Nat(),
     "Empty": t.Empty(),
     "Unit": t.Unit(),
@@ -49,8 +50,6 @@ _CONST_TERMS: dict[str, t.Term] = {
     "zero2": t.Bit0(),
     "one2": t.Bit1(),
 }
-
-CONSTS = set(_CONST_TERMS)
 
 # Each elimination head's core node and its arguments: None for a plain
 # one, or (n, what) for one that must be a function of n binders, which
@@ -69,7 +68,7 @@ ELIMS: dict[str, tuple[type, tuple]] = {
 
 DECL_KEYWORDS = {"def", "axiom", "goal"}
 
-KEYWORDS = DECL_KEYWORDS | {"fun"} | set(ELIMS) | CONSTS
+KEYWORDS = DECL_KEYWORDS | {"fun"} | set(ELIMS) | set(CONST_TERMS)
 
 # One match per token. Whitespace and plain `--` comments are skipped by the
 # leading part; `bad` takes any other character and `eof` the end, so the
@@ -271,10 +270,10 @@ class Parser:
                 self.pos += 1
                 self.end = end
                 return t.nat_literal(int(text))
-            case "kw" if text in CONSTS:
+            case "kw" if text in CONST_TERMS:
                 self.pos += 1
                 self.end = end
-                return _CONST_TERMS[text]
+                return CONST_TERMS[text]
             case "kw" if text in ELIMS:
                 self.pos += 1
                 node, params = ELIMS[text]

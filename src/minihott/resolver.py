@@ -13,7 +13,7 @@ import difflib
 
 from .diagnostics import CheckFailure, Diagnostic
 from .globals import Globals
-from .parser import CONSTS, SElim
+from .parser import CONST_TERMS, SElim
 from .terms import Linked
 
 
@@ -34,7 +34,7 @@ class Resolver:
             ref = check.ref
             entry = entries.get(ref.name)
             if entry is None:
-                close = difflib.get_close_matches(ref.name, [*check.scope, *entries, *CONSTS], n=1)
+                close = difflib.get_close_matches(ref.name, [*check.scope, *entries, *CONST_TERMS], n=1)
                 hint = f" (did you mean {close[0]!r}?)" if close else ""
                 message = f"unbound identifier {ref.name!r}{hint}"
                 raise CheckFailure(Diagnostic("resolve", message, check.span))

@@ -3,7 +3,9 @@
 Binders are positional: `Pi.cod`, `Lam.body`, `Sigma.snd_ty` bind one
 variable; `J.motive` binds three (endpoint, endpoint, path); `J.base`,
 `NatElim.motive`, `TwoElim.motive` and `EmptyElim.motive` bind one;
-`NatElim.step` binds two (predecessor, recursive result).
+`NatElim.step` binds two (predecessor, recursive result).  The surface
+form of each node, its keyword and the binders of each argument, is in
+`parser.ELIMS` and `parser.CONST_TERMS`.
 """
 
 from __future__ import annotations

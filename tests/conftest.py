@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 
 from minihott.corpus.manifest import emit_corpus
@@ -6,6 +9,9 @@ from minihott.parser import parse_module
 from minihott.pipeline import check_files, run_deep
 from minihott.resolver import Resolver
 from minihott.terms import Term
+
+# The JSON schema of every report the CLI writes.
+SCHEMA = json.loads((pathlib.Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
 
 
 class CorpusRun:

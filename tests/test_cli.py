@@ -11,12 +11,11 @@ import sys
 
 import jsonschema
 import pytest
-from conftest import without_ms
+from conftest import SCHEMA, without_ms
 
 from minihott.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, MAX_LEVEL_ENV, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 GOOD = "def idTwo : Two -> Two\n  := fun b => b\n"
 BAD = "goal wrong : Id Two zero2 one2\n  := refl zero2\n"
@@ -490,15 +489,22 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
     synth_path.write_text(synth.program(1)[0])
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
-    def report(python, path) -> tuple[int, dict]:
+    def report(python, args) -> tuple[int, dict]:
         done = subprocess.run(
-            [str(python), "-m", "minihott", "--format", "json", "check", str(path)],
+            [str(python), "-m", "minihott", "--format", "json", *args],
             capture_output=True, text=True, env=env, timeout=120,
         )
         return done.returncode, without_ms(json.loads(done.stdout))
 
-    for path in (ROOT / "corpus" / "generated" / "prelude" / "01-path-algebra.hott", synth_path):
-        expected = report(sys.executable, path)
-        assert expected[0] == (EXIT_OK if path != synth_path else EXIT_REJECTED)
+    prelude = str(ROOT / "corpus" / "generated" / "prelude" / "01-path-algebra.hott")
+    runs = [
+        (["check", prelude], EXIT_OK),
+        (["check", str(synth_path)], EXIT_REJECTED),
+        # a printed normal form: Pi, lambdas, J, Id and refl
+        (["normalize", prelude, "--name", "transportLoop"], EXIT_OK),
+    ]
+    for args, code in runs:
+        expected = report(sys.executable, args)
+        assert expected[0] == code
         for python in interpreters:
-            assert report(python, path) == expected, python
+            assert report(python, args) == expected, python

@@ -10,7 +10,7 @@ import threading
 import pytest
 from conftest import CorpusRun, check_one, core_term
 
-from minihott import cli, conversion
+from minihott import cli, conversion, printer
 from minihott import evaluate as evaluation
 from minihott import terms as t
 from minihott import values as v
@@ -516,6 +516,8 @@ def test_dispatch_tables_cover_every_class():
     assert set(conversion._SAME) == VALUE_CLASSES - {v.VGlued}  # whnf unfolds every glued value
     for table in (evaluation._ELIMINATE, evaluation._QUOTE_FRAME, conversion._FRAME_EQ):
         assert set(table) == FRAME_CLASSES
+    assert set(printer._PRINT) == records_of(t, t.Term)
+    assert set(printer._FIELDS) == records_of(t, t.Term) - {t.Var}  # `_uses_top` compares a `Var` itself
 
 
 def test_a_class_without_a_rule_is_a_kernel_bug():
@@ -532,6 +534,8 @@ def test_a_class_without_a_rule_is_a_kernel_bug():
     stray_spine = v.VNeutral(x.head, (StrayFrame(),))
     for fail in (
         lambda: evaluate((), StrayTerm()),
+        lambda: print_term(StrayTerm()),
+        lambda: printer._uses_top(StrayTerm()),
         lambda: quote(0, StrayValue()),
         lambda: quote(1, stray_spine),
         lambda: conversion.conv_structural(0, StrayValue(), StrayValue(), eta_sigma=True),

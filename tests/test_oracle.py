@@ -5,7 +5,9 @@ import json
 import math
 import time
 
+import jsonschema
 import pytest
+from conftest import SCHEMA
 
 from minihott import oracle
 
@@ -114,14 +116,15 @@ def test_report_json_shape():
 # --- the corrupted-operation fixture ---
 
 
+def drop_first_factor(p, q):
+    """A broken composition: `q` alone."""
+    return oracle.FinBij(p.domain, q.codomain, q.mapping)
+
+
 def test_corrupted_composition_is_caught(monkeypatch):
     """Replacing composition with a variant that drops the first factor
     must produce counterexamples naming the offending tables."""
-
-    def broken(p, q):
-        return oracle.FinBij(p.domain, q.codomain, q.mapping)
-
-    monkeypatch.setattr(oracle, "compose", broken)
+    monkeypatch.setattr(oracle, "compose", drop_first_factor)
     report = oracle.check_groupoid_laws(bound=3)
     assert not report.ok
     assert any("p·id != p" in c for c in report.counterexamples)
@@ -136,6 +139,24 @@ def test_corrupted_composition_is_caught(monkeypatch):
         "p·id != p for p=(0, 2, 1)",
         "p·p⁻¹ != id for p=(0, 2, 1)",
     ]
+
+
+def test_rejected_suite_report_validates_against_schema(monkeypatch):
+    """A failing suite's JSON: the schema holds, and its diagnostic is the
+    first five witnesses in the shape every checker diagnostic has."""
+    monkeypatch.setattr(oracle, "compose", drop_first_factor)
+    payload = oracle.reports_to_json([oracle.check_groupoid_laws(bound=3)])
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["totals"]["rejected"] == 1
+    [decl] = payload["declarations"]
+    assert decl["status"] == "rejected"
+    assert decl["diagnostic"] == {
+        "severity": "error",
+        "code": "counterexample",
+        "message": "p·id != p for p=(1, 0); p·p⁻¹ != id for p=(1, 0); p⁻¹·p != id for p=(1, 0); "
+        "p·id != p for p=(0, 2, 1); p·p⁻¹ != id for p=(0, 2, 1)",
+        "span": [0, 0],
+    }
 
 
 def test_composition_wrong_for_one_pair_breaks_associativity(monkeypatch):

@@ -296,3 +296,253 @@ def test_print_round_trip_fixed_cases():
     ]
     for term in cases:
         assert roundtrip(term) == term
+
+
+# --- printing: a differential test against the match-based printer the
+# class-keyed tables replaced, kept here verbatim as the reference ---
+
+# precedence: 0 arrow, 1 times, 2 application, 3 atom
+_ARROW, _TIMES, _APP, _ATOM = 0, 1, 2, 3
+
+
+def _bind(names: list[str]) -> str:
+    name = f"x{len(names)}"
+    while name in names:
+        name += "'"
+    names.append(name)
+    return name
+
+
+def _print(term: t.Term, names: list[str], prec: int) -> str:
+    match term:
+        case t.Var(index):
+            if index < len(names):
+                return names[len(names) - 1 - index]
+            return f"!{index - len(names)}"  # dangling index; diagnostics only
+        case t.Univ(level):
+            return f"U{level}"
+        case t.Ref(name):
+            return name
+        case t.Pi(dom, cod):
+            x = _bind(names)
+            body = _print(cod, names, _ARROW)
+            names.pop()
+            if _uses_top(cod):
+                out = f"({x} : {_print(dom, names, _ARROW)}) -> {body}"
+            else:
+                out = f"{_print(dom, names, _TIMES)} -> {body}"
+            return _wrap(out, prec, _ARROW)
+        case t.Sigma(fst_ty, snd_ty):
+            x = _bind(names)
+            snd = _print(snd_ty, names, _TIMES)
+            names.pop()
+            if _uses_top(snd_ty):
+                out = f"({x} : {_print(fst_ty, names, _ARROW)}) * {snd}"
+            else:
+                out = f"{_print(fst_ty, names, _APP)} * {snd}"
+            return _wrap(out, prec, _TIMES)
+        case t.Lam():
+            binders = []
+            body = term
+            while isinstance(body, t.Lam):
+                binders.append(_bind(names))
+                body = body.body
+            out = f"fun {' '.join(binders)} => {_print(body, names, _ARROW)}"
+            for _ in binders:
+                names.pop()
+            return _wrap(out, prec, _ARROW)
+        case t.App(fn, arg):
+            out = f"{_print(fn, names, _APP)} {_print(arg, names, _ATOM)}"
+            return _wrap(out, prec, _APP)
+        case t.Pair(fst, snd):
+            return f"({_print(fst, names, _ARROW)}, {_print(snd, names, _ARROW)})"
+        case t.Ann(inner, ty):
+            return f"({_print(inner, names, _ARROW)} : {_print(ty, names, _ARROW)})"
+        case t.Fst(pair):
+            return _head("fst", [_print(pair, names, _ATOM)], prec)
+        case t.Snd(pair):
+            return _head("snd", [_print(pair, names, _ATOM)], prec)
+        case t.Id(ty, lhs, rhs):
+            args = [_print(a, names, _ATOM) for a in (ty, lhs, rhs)]
+            return _head("Id", args, prec)
+        case t.Refl(arg):
+            return _head("refl", [_print(arg, names, _ATOM)], prec)
+        case t.J(motive, base, path):
+            return _head(
+                "J",
+                [
+                    _print_binder_atom(motive, names, 3),
+                    _print_binder_atom(base, names, 1),
+                    _print(path, names, _ATOM),
+                ],
+                prec,
+            )
+        case t.Suc():
+            literal = t.as_nat_literal(term)
+            if literal is not None:
+                return str(literal)
+            assert isinstance(term, t.Suc)
+            return _head("suc", [_print(term.pred, names, _ATOM)], prec)
+        case t.Zero():
+            return "0"
+        case t.NatElim(motive, base, step, target):
+            return _head(
+                "natElim",
+                [
+                    _print_binder_atom(motive, names, 1),
+                    _print(base, names, _ATOM),
+                    _print_binder_atom(step, names, 2),
+                    _print(target, names, _ATOM),
+                ],
+                prec,
+            )
+        case t.TwoElim(motive, if0, if1, target):
+            return _head(
+                "twoElim",
+                [
+                    _print_binder_atom(motive, names, 1),
+                    _print(if0, names, _ATOM),
+                    _print(if1, names, _ATOM),
+                    _print(target, names, _ATOM),
+                ],
+                prec,
+            )
+        case t.EmptyElim(motive, target):
+            return _head(
+                "emptyElim",
+                [_print_binder_atom(motive, names, 1), _print(target, names, _ATOM)],
+                prec,
+            )
+        case t.Nat():
+            return "Nat"
+        case t.Empty():
+            return "Empty"
+        case t.Unit():
+            return "Unit"
+        case t.Star():
+            return "star"
+        case t.Two():
+            return "Two"
+        case t.Bit0():
+            return "zero2"
+        case t.Bit1():
+            return "one2"
+        case _:
+            raise AssertionError(f"unhandled term {term!r}")
+
+
+def _print_binder_atom(body: t.Term, names: list[str], count: int) -> str:
+    binders = [_bind(names) for _ in range(count)]
+    out = f"(fun {' '.join(binders)} => {_print(body, names, _ARROW)})"
+    for _ in binders:
+        names.pop()
+    return out
+
+
+def _head(keyword: str, args: list[str], prec: int) -> str:
+    return _wrap(f"{keyword} {' '.join(args)}", prec, _APP)
+
+
+def _wrap(out: str, required: int, actual: int) -> str:
+    return f"({out})" if required > actual else out
+
+
+def _uses_top(term: t.Term, depth: int = 0) -> bool:
+    """Does a one-binder body refer to its bound variable?
+
+    `depth` counts the binders entered inside the body; under them the
+    variable is `Var(depth)`.  A module-level function, not a recursive closure: a closure that
+    calls itself is a reference cycle, and checking runs with the cyclic
+    garbage collector off.
+    """
+    match term:
+        case t.Var(index):
+            return index == depth
+        case t.Pi(dom, cod) | t.Sigma(dom, cod):
+            return _uses_top(dom, depth) or _uses_top(cod, depth + 1)
+        case t.Lam(body_):
+            return _uses_top(body_, depth + 1)
+        case t.J(motive, base, path):
+            return (
+                _uses_top(motive, depth + 3)
+                or _uses_top(base, depth + 1)
+                or _uses_top(path, depth)
+            )
+        case t.NatElim(motive, base, step, target):
+            return (
+                _uses_top(motive, depth + 1)
+                or _uses_top(base, depth)
+                or _uses_top(step, depth + 2)
+                or _uses_top(target, depth)
+            )
+        case t.TwoElim(motive, if0, if1, target):
+            return (
+                _uses_top(motive, depth + 1)
+                or _uses_top(if0, depth)
+                or _uses_top(if1, depth)
+                or _uses_top(target, depth)
+            )
+        case t.EmptyElim(motive, target):
+            return _uses_top(motive, depth + 1) or _uses_top(target, depth)
+        case t.App(fn, arg):
+            return _uses_top(fn, depth) or _uses_top(arg, depth)
+        case t.Pair(fst, snd):
+            return _uses_top(fst, depth) or _uses_top(snd, depth)
+        case t.Ann(inner, ty):
+            return _uses_top(inner, depth) or _uses_top(ty, depth)
+        case t.Fst(p) | t.Snd(p) | t.Refl(p) | t.Suc(p):
+            return _uses_top(p, depth)
+        case t.Id(ty, lhs, rhs):
+            return _uses_top(ty, depth) or _uses_top(lhs, depth) or _uses_top(rhs, depth)
+        case _:
+            return False
+
+
+def reference_print(term: t.Term, names=()) -> str:
+    return _print(term, list(names), _ARROW)
+
+
+# `term_strategy`'s nodes plus annotations, references and indices that may
+# dangle: the text a diagnostic shows can contain all three.
+printable_terms = st.recursive(
+    st.one_of(
+        leaf_terms(),
+        st.builds(t.Var, st.integers(0, 4)),
+        st.builds(t.Ref, st.sampled_from(["f", "transport", "x0"])),
+    ),
+    lambda children: st.one_of(compound_terms(children), st.builds(t.Ann, children, children)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(printable_terms, st.lists(st.sampled_from(["A", "p", "x0", "x1", "x2'"]), max_size=3))
+def test_printer_agrees_with_the_match_based_printer(term, names):
+    assert print_term(term) == reference_print(term)
+    assert print_term(term, names) == reference_print(term, names)
+
+
+# One of each node, with indices that reach past up to three binders.
+SHAPES = [
+    *(t.Var(i) for i in range(4)),
+    *(t.Star(), t.Zero(), t.nat_literal(2), t.Suc(t.Var(0)), t.Univ(2), t.Ref("f")),
+    *(t.Pi(t.Nat(), t.Nat()), t.Pi(t.Nat(), t.Var(0)), t.Sigma(t.Nat(), t.Nat()), t.Sigma(t.Nat(), t.Var(0))),
+    *(t.Lam(t.Var(0)), t.App(t.Var(0), t.Star()), t.Pair(t.Star(), t.Var(0)), t.Ann(t.Star(), t.Var(0))),
+    *(t.Fst(t.Var(0)), t.Refl(t.Star())),
+]
+
+
+def test_printer_agrees_with_the_match_based_printer_on_every_pair_of_shapes():
+    """Each node over each pair of shapes, at the top and as the codomain
+    of a `Pi`, which asks `_uses_top` about every field of the node."""
+    for a in SHAPES:
+        for b in SHAPES:
+            nodes = [
+                *(t.Pi(a, b), t.Sigma(a, b), t.Lam(t.App(a, b)), t.App(a, b), t.Pair(a, b), t.Ann(a, b)),
+                *(t.Fst(a), t.Snd(a), t.Refl(a), t.Suc(a), t.Id(a, b, a), t.J(a, b, a)),
+                *(t.NatElim(a, b, a, b), t.TwoElim(a, b, b, a), t.EmptyElim(a, b)),
+            ]
+            for term in nodes:
+                for shown in (term, t.Pi(t.Nat(), term)):
+                    assert print_term(shown) == reference_print(shown), shown
+            assert print_term(a, ["x1", "p"]) == reference_print(a, ["x1", "p"])
