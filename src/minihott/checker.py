@@ -1,4 +1,13 @@
-"""Bidirectional type checking against the semantic domain."""
+"""Bidirectional type checking against the semantic domain.
+
+Every step dispatches once on its term's class: `Checker.infer` looks the
+term's class up in `_INFER`, and `Checker.check` in `_CHECK`, which holds
+the terms checked against the shape of the unfolded expected type (`Lam`,
+`Pair`, `Refl`); any other term is inferred and compared by `subtype`.
+A class missing from `_INFER` is a `KernelBug`, never a bare `KeyError`.
+Rules reach `evaluate`, `quote`, `conv`, `subtype` and `printer.print_term`
+through module attributes, so that a wrapper installed there sees each call.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +16,7 @@ from . import terms as t
 from . import values as v
 from .conversion import conv, subtype
 from .decls import Declaration
-from .diagnostics import CheckFailure, Diagnostic, Span
+from .diagnostics import CheckFailure, Diagnostic, KernelBug, Span
 from .evaluate import evaluate, project_fst, quote, whnf
 from .globals import Globals
 from .records import record
@@ -31,194 +40,160 @@ class Context:
         return self.entries[-1 - index][1]
 
 
+# The type of each constant; for each literal that only checks, the type
+# former it checks against and the word its diagnostics use for it.
+_CONST_TYPES = {
+    **dict.fromkeys((t.Nat, t.Empty, t.Unit, t.Two), v.VUniv(0)),
+    t.Zero: v.VNat(),
+    t.Star: v.VUnit(),
+    t.Bit0: v.VTwo(),
+    t.Bit1: v.VTwo(),
+}
+_LITERALS = {t.Lam: (v.VPi, "function"), t.Pair: (v.VSigma, "pair")}
+
+
 class Checker:
     def __init__(self, glob: Globals):
         self.glob = glob
-
-    # -- helpers --
 
     def fail(self, code: str, message: str, span: Span = Span(0, 0)):
         raise CheckFailure(Diagnostic(code, message, span))
 
     def show(self, ctx: Context, value: v.Value) -> str:
-        # through the module, so that a wrapper of `printer.print_term` sees the call
         return printer.print_term(quote(ctx.depth, value), [hint for hint, _ in ctx.entries])
 
-    def eval_in(self, ctx: Context, term: t.Term) -> v.Value:
-        return evaluate(ctx.env, term)
-
-    def conv(self, ctx: Context, a: v.Value, b: v.Value, ty: v.Value | None = None) -> bool:
-        return conv(ctx.depth, a, b, ty, eta_sigma=self.glob.config.eta_sigma)
-
     def ensure_universe(self, ctx: Context, value: v.Value, what: str) -> int:
-        if isinstance(forced := whnf(value), v.VUniv):
+        if (forced := whnf(value)).__class__ is v.VUniv:
             return forced.level
         self.fail("not-a-type", f"{what} has type {self.show(ctx, value)}, expected a universe")
 
     def infer_type(self, ctx: Context, term: t.Term, what: str = "term") -> tuple[v.Value, int]:
         """Infer `term`, require it to be a type; return (its value, universe level)."""
         level = self.ensure_universe(ctx, self.infer(ctx, term), what)
-        return self.eval_in(ctx, term), level
-
-    # -- inference --
+        return evaluate(ctx.env, term), level
 
     def infer(self, ctx: Context, term: t.Term) -> v.Value:
-        match term:
-            case t.Var(index):
-                if index >= ctx.depth:
-                    self.fail("unbound-variable", f"de Bruijn index {index} out of range")
-                return ctx.lookup(index)
-            case t.Univ(level):
-                if level + 1 > self.glob.config.max_level:
-                    self.fail(
-                        "level-overflow",
-                        f"universe U{level} exceeds max_level {self.glob.config.max_level}",
-                    )
-                return v.VUniv(level + 1)
-            case t.Pi(dom, cod) | t.Sigma(dom, cod):
-                dom_v, i = self.infer_type(ctx, dom, "domain")
-                cod_ctx = ctx.extend("x", dom_v)
-                j = self.ensure_universe(cod_ctx, self.infer(cod_ctx, cod), "codomain")
-                return v.VUniv(max(i, j))
-            case t.Lam(_):
-                self.fail("cannot-infer", "unannotated function in inference position")
-            case t.Pair(_, _):
-                self.fail("cannot-infer", "unannotated pair in inference position")
-            case t.App(fn, arg):
-                fn_ty = whnf(self.infer(ctx, fn))
-                if not isinstance(fn_ty, v.VPi):
-                    self.fail(
-                        "not-a-function",
-                        f"application head has type {self.show(ctx, fn_ty)}, expected a function",
-                    )
-                self.check(ctx, arg, fn_ty.dom)
-                return fn_ty.cod(self.eval_in(ctx, arg))
-            case t.Fst(pair):
-                pair_ty = whnf(self.infer(ctx, pair))
-                if not isinstance(pair_ty, v.VSigma):
-                    self.fail("not-a-pair", f"fst of a term of type {self.show(ctx, pair_ty)}")
-                return pair_ty.fst_ty
-            case t.Snd(pair):
-                pair_ty = whnf(self.infer(ctx, pair))
-                if not isinstance(pair_ty, v.VSigma):
-                    self.fail("not-a-pair", f"snd of a term of type {self.show(ctx, pair_ty)}")
-                return pair_ty.snd_ty(project_fst(self.eval_in(ctx, pair)))
-            case t.Id(ty, lhs, rhs):
-                ty_v, level = self.infer_type(ctx, ty, "identity-type carrier")
-                self.check(ctx, lhs, ty_v)
-                self.check(ctx, rhs, ty_v)
-                return v.VUniv(level)
-            case t.Refl(arg):
-                arg_ty = self.infer(ctx, arg)
-                arg_v = self.eval_in(ctx, arg)
-                return v.VId(arg_ty, arg_v, arg_v)
-            case t.J(motive, base, path):
-                return self.infer_j(ctx, motive, base, path)
-            case t.Nat() | t.Empty() | t.Unit() | t.Two():
-                return v.VUniv(0)
-            case t.Zero():
-                return v.VNat()
-            case t.Suc(pred):
-                self.check(ctx, pred, v.VNat())
-                return v.VNat()
-            case t.NatElim(motive, base, step, target):
-                return self.infer_nat_elim(ctx, motive, base, step, target)
-            case t.EmptyElim(motive, target):
-                self.check(ctx, target, v.VEmpty())
-                motive_ctx = ctx.extend("e", v.VEmpty())
-                self.infer_type(motive_ctx, motive, "motive")
-                cl = v.Closure(ctx.env, motive, 1)
-                return cl(self.eval_in(ctx, target))
-            case t.Star():
-                return v.VUnit()
-            case t.Bit0() | t.Bit1():
-                return v.VTwo()
-            case t.TwoElim(motive, if0, if1, target):
-                self.check(ctx, target, v.VTwo())
-                motive_ctx = ctx.extend("b", v.VTwo())
-                self.infer_type(motive_ctx, motive, "motive")
-                cl = v.Closure(ctx.env, motive, 1)
-                self.check(ctx, if0, cl(v.VBit0()))
-                self.check(ctx, if1, cl(v.VBit1()))
-                return cl(self.eval_in(ctx, target))
-            case t.Ref(name):
-                # `Resolver.resolve` has rejected every unknown or rejected name
-                return self.glob.entries[name].type_value
-            case t.Ann(inner, ty):
-                ty_v, _ = self.infer_type(ctx, ty, "annotation")
-                self.check(ctx, inner, ty_v)
-                return ty_v
-            case _:
-                self.fail("internal", f"infer: unhandled term {term!r}")
-
-    def infer_j(self, ctx: Context, motive: t.Term, base: t.Term, path: t.Term) -> v.Value:
-        path_ty = whnf(self.infer(ctx, path))
-        if not isinstance(path_ty, v.VId):
-            self.fail("not-a-path", f"J applied to a term of type {self.show(ctx, path_ty)}")
-        carrier = path_ty.ty
-        x = ctx.extend("x", carrier)
-        xy = x.extend("y", carrier)
-        xyp = xy.extend("p", v.VId(carrier, v.fresh(ctx.depth), v.fresh(ctx.depth + 1)))
-        self.infer_type(xyp, motive, "J motive")
-        motive_cl = v.Closure(ctx.env, motive, 3)
-        base_ctx = ctx.extend("x", carrier)
-        base_var = v.fresh(ctx.depth)
-        self.check(base_ctx, base, motive_cl(base_var, base_var, v.VRefl(base_var)))
-        return motive_cl(path_ty.lhs, path_ty.rhs, self.eval_in(ctx, path))
-
-    def infer_nat_elim(self, ctx: Context, motive, base, step, target) -> v.Value:
-        self.check(ctx, target, v.VNat())
-        motive_ctx = ctx.extend("n", v.VNat())
-        self.infer_type(motive_ctx, motive, "motive")
-        cl = v.Closure(ctx.env, motive, 1)
-        self.check(ctx, base, cl(v.VZero()))
-        n_var = v.fresh(ctx.depth)
-        step_ctx = ctx.extend("n", v.VNat()).extend("ih", cl(n_var))
-        self.check(step_ctx, step, cl(v.VSuc(n_var)))
-        return cl(self.eval_in(ctx, target))
-
-    # -- checking --
+        try:
+            rule = _INFER[term.__class__]
+        except KeyError:
+            raise KernelBug(f"infer: unhandled term {term!r}") from None
+        return rule(self, ctx, term)
 
     def check(self, ctx: Context, term: t.Term, expected: v.Value) -> None:
-        # Match on the unfolded type but pass `expected` itself to
-        # `subtype`, which can compare glued definitions without unfolding.
-        match (term, whnf(expected)):
-            case (t.Lam(body), v.VPi(dom, cod)):
-                inner = ctx.extend("x", dom)
-                self.check(inner, body, cod(v.fresh(ctx.depth)))
-                return
-            case (t.Lam(_), _):
-                self.fail(
-                    "type-mismatch",
-                    f"function literal checked against non-function type {self.show(ctx, expected)}",
-                )
-            case (t.Pair(fst, snd), v.VSigma(fst_ty, snd_ty)):
-                self.check(ctx, fst, fst_ty)
-                self.check(ctx, snd, snd_ty(self.eval_in(ctx, fst)))
-                return
-            case (t.Pair(_, _), _):
-                self.fail(
-                    "type-mismatch",
-                    f"pair literal checked against non-pair type {self.show(ctx, expected)}",
-                )
-            case (t.Refl(arg), v.VId(ty, lhs, rhs)):
-                self.check(ctx, arg, ty)
-                arg_v = self.eval_in(ctx, arg)
-                if not (self.conv(ctx, arg_v, lhs, ty) and self.conv(ctx, arg_v, rhs, ty)):
-                    self.fail(
-                        "endpoint-mismatch",
-                        "refl endpoints do not match: "
-                        f"refl {self.show(ctx, arg_v)} checked against "
-                        f"Id {self.show(ctx, lhs)} {self.show(ctx, rhs)}",
-                    )
-                return
-            case _:
-                actual = self.infer(ctx, term)
-                if not subtype(ctx.depth, actual, expected, eta_sigma=self.glob.config.eta_sigma):
-                    self.fail(
-                        "type-mismatch",
-                        f"expected {self.show(ctx, expected)}, found {self.show(ctx, actual)}",
-                    )
+        _CHECK.get(term.__class__, Checker._check_inferred)(self, ctx, term, expected)
+
+    def _infer_var(self, ctx: Context, term: t.Var) -> v.Value:
+        try:
+            return ctx.lookup(term.index)
+        except IndexError:
+            raise KernelBug(f"unbound de Bruijn index {term.index} at depth {ctx.depth}") from None
+
+    def _infer_univ(self, ctx: Context, term: t.Univ) -> v.Value:
+        if term.level + 1 > (max_level := self.glob.config.max_level):
+            self.fail("level-overflow", f"universe U{term.level} exceeds max_level {max_level}")
+        return v.VUniv(term.level + 1)
+
+    def _infer_quantifier(self, ctx: Context, term: t.Pi | t.Sigma) -> v.Value:
+        dom, cod = (getattr(term, field) for field in term.__match_args__)
+        dom_v, i = self.infer_type(ctx, dom, "domain")
+        cod_ctx = ctx.extend("x", dom_v)
+        j = self.ensure_universe(cod_ctx, self.infer(cod_ctx, cod), "codomain")
+        return v.VUniv(max(i, j))
+
+    def _infer_literal(self, ctx: Context, term: t.Lam | t.Pair) -> v.Value:
+        self.fail("cannot-infer", f"unannotated {_LITERALS[term.__class__][1]} in inference position")
+
+    def _infer_app(self, ctx: Context, term: t.App) -> v.Value:
+        fn_ty = whnf(self.infer(ctx, term.fn))
+        if fn_ty.__class__ is not v.VPi:
+            self.fail("not-a-function", f"application head has type {self.show(ctx, fn_ty)}, expected a function")
+        self.check(ctx, term.arg, fn_ty.dom)
+        return fn_ty.cod(evaluate(ctx.env, term.arg))
+
+    def _infer_projection(self, ctx: Context, term: t.Fst | t.Snd) -> v.Value:
+        pair_ty = whnf(self.infer(ctx, term.pair))
+        first = term.__class__ is t.Fst
+        if pair_ty.__class__ is not v.VSigma:
+            self.fail("not-a-pair", f"{'fst' if first else 'snd'} of a term of type {self.show(ctx, pair_ty)}")
+        return pair_ty.fst_ty if first else pair_ty.snd_ty(project_fst(evaluate(ctx.env, term.pair)))
+
+    def _infer_id(self, ctx: Context, term: t.Id) -> v.Value:
+        ty_v, level = self.infer_type(ctx, term.ty, "identity-type carrier")
+        self.check(ctx, term.lhs, ty_v)
+        self.check(ctx, term.rhs, ty_v)
+        return v.VUniv(level)
+
+    def _infer_refl(self, ctx: Context, term: t.Refl) -> v.Value:
+        arg_ty, arg_v = self.infer(ctx, term.arg), evaluate(ctx.env, term.arg)
+        return v.VId(arg_ty, arg_v, arg_v)
+
+    def _infer_j(self, ctx: Context, term: t.J) -> v.Value:
+        path_ty = whnf(self.infer(ctx, term.path))
+        if path_ty.__class__ is not v.VId:
+            self.fail("not-a-path", f"J applied to a term of type {self.show(ctx, path_ty)}")
+        carrier, x, y = path_ty.ty, v.fresh(ctx.depth), v.fresh(ctx.depth + 1)
+        xyp = ctx.extend("x", carrier).extend("y", carrier).extend("p", v.VId(carrier, x, y))
+        self.infer_type(xyp, term.motive, "J motive")
+        motive = v.Closure(ctx.env, term.motive, 3)
+        self.check(ctx.extend("x", carrier), term.base, motive(x, x, v.VRefl(x)))
+        return motive(path_ty.lhs, path_ty.rhs, evaluate(ctx.env, term.path))
+
+    def _elim_motive(self, ctx: Context, term, hint: str, target_ty: v.Value) -> v.Closure:
+        """Check an eliminator's target, then its one-binder motive; return the motive."""
+        self.check(ctx, term.target, target_ty)
+        self.infer_type(ctx.extend(hint, target_ty), term.motive, "motive")
+        return v.Closure(ctx.env, term.motive, 1)
+
+    def _infer_nat_elim(self, ctx: Context, term: t.NatElim) -> v.Value:
+        motive = self._elim_motive(ctx, term, "n", v.VNat())
+        self.check(ctx, term.base, motive(v.VZero()))
+        n = v.fresh(ctx.depth)
+        self.check(ctx.extend("n", v.VNat()).extend("ih", motive(n)), term.step, motive(v.VSuc(n)))
+        return motive(evaluate(ctx.env, term.target))
+
+    def _infer_two_elim(self, ctx: Context, term: t.TwoElim) -> v.Value:
+        motive = self._elim_motive(ctx, term, "b", v.VTwo())
+        self.check(ctx, term.if0, motive(v.VBit0()))
+        self.check(ctx, term.if1, motive(v.VBit1()))
+        return motive(evaluate(ctx.env, term.target))
+
+    def _infer_suc(self, ctx: Context, term: t.Suc) -> v.Value:
+        self.check(ctx, term.pred, v.VNat())
+        return v.VNat()
+
+    def _infer_ann(self, ctx: Context, term: t.Ann) -> v.Value:
+        ty_v, _ = self.infer_type(ctx, term.ty, "annotation")
+        self.check(ctx, term.term, ty_v)
+        return ty_v
+
+    # Checking reads the unfolded type but passes `expected` itself to
+    # `subtype`, which can compare glued definitions without unfolding.
+
+    def _check_literal(self, ctx: Context, term: t.Lam | t.Pair, expected: v.Value) -> None:
+        former, noun = _LITERALS[term.__class__]
+        if (ty := whnf(expected)).__class__ is not former:
+            message = f"{noun} literal checked against non-{noun} type {self.show(ctx, expected)}"
+            self.fail("type-mismatch", message)
+        if term.__class__ is t.Lam:
+            self.check(ctx.extend("x", ty.dom), term.body, ty.cod(v.fresh(ctx.depth)))
+        else:
+            self.check(ctx, term.fst, ty.fst_ty)
+            self.check(ctx, term.snd, ty.snd_ty(evaluate(ctx.env, term.fst)))
+
+    def _check_refl(self, ctx: Context, term: t.Refl, expected: v.Value) -> None:
+        if (ty := whnf(expected)).__class__ is not v.VId:
+            return self._check_inferred(ctx, term, expected)
+        self.check(ctx, term.arg, ty.ty)
+        arg_v, eta_sigma = evaluate(ctx.env, term.arg), self.glob.config.eta_sigma
+        if not all(conv(ctx.depth, arg_v, end, ty.ty, eta_sigma=eta_sigma) for end in (ty.lhs, ty.rhs)):
+            arg, lhs, rhs = (self.show(ctx, value) for value in (arg_v, ty.lhs, ty.rhs))
+            message = f"refl {arg} checked against Id {lhs} {rhs}"
+            self.fail("endpoint-mismatch", f"refl endpoints do not match: {message}")
+
+    def _check_inferred(self, ctx: Context, term: t.Term, expected: v.Value) -> None:
+        actual = self.infer(ctx, term)
+        if not subtype(ctx.depth, actual, expected, eta_sigma=self.glob.config.eta_sigma):
+            self.fail("type-mismatch", f"expected {self.show(ctx, expected)}, found {self.show(ctx, actual)}")
 
     # -- declarations --
 
@@ -236,3 +211,27 @@ class Checker:
         if decl.kind == "def":
             self.glob.add_def(decl.name, ty_v, evaluate((), decl.body))
         # goals are checked and reported but bind nothing
+
+
+_INFER = {
+    **dict.fromkeys(_CONST_TYPES, lambda self, ctx, term: _CONST_TYPES[term.__class__]),
+    **dict.fromkeys(_LITERALS, Checker._infer_literal),
+    t.Var: Checker._infer_var,
+    # `Resolver.resolve` has rejected every unknown or rejected name
+    t.Ref: lambda self, ctx, term: self.glob.entries[term.name].type_value,
+    t.Univ: Checker._infer_univ,
+    **dict.fromkeys((t.Pi, t.Sigma), Checker._infer_quantifier),
+    t.App: Checker._infer_app,
+    **dict.fromkeys((t.Fst, t.Snd), Checker._infer_projection),
+    t.Id: Checker._infer_id,
+    t.Refl: Checker._infer_refl,
+    t.J: Checker._infer_j,
+    t.Suc: Checker._infer_suc,
+    t.NatElim: Checker._infer_nat_elim,
+    t.TwoElim: Checker._infer_two_elim,
+    t.EmptyElim: lambda self, ctx, term: self._elim_motive(ctx, term, "e", v.VEmpty())(
+        evaluate(ctx.env, term.target)
+    ),
+    t.Ann: Checker._infer_ann,
+}
+_CHECK = {**dict.fromkeys(_LITERALS, Checker._check_literal), t.Refl: Checker._check_refl}

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 
@@ -10,8 +11,10 @@ from minihott.pipeline import check_files, run_deep
 from minihott.resolver import Resolver
 from minihott.terms import Term
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
 # The JSON schema of every report the CLI writes.
-SCHEMA = json.loads((pathlib.Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text())
+SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 
 class CorpusRun:
@@ -81,3 +84,84 @@ def core_term(text: str, glob: Globals | None = None) -> Term:
     module = parse_module(f"def tmp : U0 := {text}")
     Resolver(Globals() if glob is None else glob).resolve(module.pending[0])
     return module.decls[0].body
+
+
+def synth_program(seed: int) -> str:
+    """The source of the benchmark's `synth` workload for `seed`."""
+    spec = importlib.util.spec_from_file_location("synth", ROOT / "perfbench" / "synth.py")
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    return synth.program(seed)[0]
+
+
+# Each program is rejected because of the kernel rule its id names: a
+# kernel that leaves that rule out of `checker` or `conversion` gives
+# another verdict.
+KILLERS = [
+    pytest.param(
+        "def bad : (A : U0) (a b : A) (p : Id A a b)"
+        " -> J (fun x y q => U1) (fun x => Nat) p -> J (fun x y q => U0) (fun x => Nat) p"
+        " := fun A a b p m => m",
+        Config(),
+        "type-mismatch",
+        id="J-motive",
+    ),
+    pytest.param(
+        "def bad : (n : Nat) -> natElim (fun _ => U1) Nat (fun k ih => Nat) n"
+        " -> natElim (fun _ => U0) Nat (fun k ih => Nat) n := fun n m => m",
+        Config(),
+        "type-mismatch",
+        id="natElim-motive",
+    ),
+    pytest.param(
+        "def bad : (b : Two) -> twoElim (fun _ => U1) Nat Nat b"
+        " -> twoElim (fun _ => U0) Nat Nat b := fun b m => m",
+        Config(),
+        "type-mismatch",
+        id="twoElim-motive",
+    ),
+    pytest.param(
+        "def bad : (e : Empty) -> emptyElim (fun _ => U1) e -> emptyElim (fun _ => U0) e := fun e m => m",
+        Config(),
+        "type-mismatch",
+        id="emptyElim-motive",
+    ),
+    pytest.param(
+        "def bad : Nat -> Nat := fun n => emptyElim (fun e => Nat) n",
+        Config(),
+        "type-mismatch",
+        id="emptyElim-target",
+    ),
+    pytest.param(
+        "def bad : (Nat * Nat) -> (Two * Nat) := fun p => p",
+        Config(),
+        "type-mismatch",
+        id="sigma-domain",
+    ),
+    pytest.param(
+        "def bad : (p : Nat * Nat) -> Id Nat (fst p) (snd p) := fun p => refl (fst p)",
+        Config(),
+        "endpoint-mismatch",
+        id="fst-snd-frames",
+    ),
+    pytest.param(
+        "def bad : Id (Nat * Nat) (0, 0) (0, 1) := refl (0, 0)",
+        Config(eta_sigma=False),
+        "endpoint-mismatch",
+        id="pair-components",
+    ),
+    pytest.param("def bad : Nat -> Nat := fun n => n n", Config(), "not-a-function", id="app-head"),
+    pytest.param(
+        "def bad : Nat -> Nat := fun n => J (fun x y p => Nat) (fun x => 0) n",
+        Config(),
+        "not-a-path",
+        id="J-path",
+    ),
+    pytest.param("def bad : Nat -> Nat := fun n => snd n", Config(), "not-a-pair", id="snd-of-non-pair"),
+    pytest.param("def bad : Nat := fst 0", Config(), "not-a-pair", id="fst-of-non-pair"),
+    pytest.param("def bad : Nat := fst (0, 0)", Config(), "cannot-infer", id="inferred-pair"),
+    pytest.param("def bad : Nat := (fun x => x) 0", Config(), "cannot-infer", id="inferred-lambda"),
+    pytest.param("def bad : Nat := refl 0", Config(), "type-mismatch", id="refl-against-non-Id"),
+    pytest.param("def bad : Nat := fun x => x", Config(), "type-mismatch", id="lambda-against-non-pi"),
+    pytest.param("def bad : Nat := (0, 0)", Config(), "type-mismatch", id="pair-against-non-sigma"),
+]

@@ -2,7 +2,6 @@
 idempotence, and the report-schema contract."""
 
 import gc
-import importlib.util
 import json
 import os
 import pathlib
@@ -11,9 +10,10 @@ import sys
 
 import jsonschema
 import pytest
-from conftest import SCHEMA, without_ms
+from conftest import KILLERS, SCHEMA, synth_program, without_ms
 
 from minihott.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, MAX_LEVEL_ENV, main
+from minihott.globals import Config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -482,11 +482,15 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
     interpreters = sibling_interpreters()
     if not interpreters:
         pytest.skip("no CPython 3.10, 3.12 or 3.13 next to the running interpreter")
-    spec = importlib.util.spec_from_file_location("synth", ROOT / "perfbench" / "synth.py")
-    synth = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(synth)
     synth_path = tmp_path / "synth-1.hott"
-    synth_path.write_text(synth.program(1)[0])
+    synth_path.write_text(synth_program(1))
+    # The default-`Config` killer programs, renamed apart, so that the
+    # checker's other messages are compared too: synth yields only
+    # `type-mismatch`.
+    killers = [(source, code) for source, config, code in (p.values for p in KILLERS) if config == Config()]
+    killers_path = tmp_path / "killers.hott"
+    renamed = (source.replace("def bad ", f"def bad{i} ") for i, (source, _) in enumerate(killers))
+    killers_path.write_text("\n".join(renamed))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
     def report(python, args) -> tuple[int, dict]:
@@ -500,9 +504,12 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
     runs = [
         (["check", prelude], EXIT_OK),
         (["check", str(synth_path)], EXIT_REJECTED),
+        (["check", str(killers_path)], EXIT_REJECTED),
         # a printed normal form: Pi, lambdas, J, Id and refl
         (["normalize", prelude, "--name", "transportLoop"], EXIT_OK),
     ]
+    [rejected] = report(sys.executable, ["check", str(killers_path)])[1]["reports"]
+    assert [d["diagnostic"]["code"] for d in rejected["declarations"]] == [code for _, code in killers]
     for args, code in runs:
         expected = report(sys.executable, args)
         assert expected[0] == code

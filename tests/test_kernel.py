@@ -8,16 +8,17 @@ import sys
 import threading
 
 import pytest
-from conftest import CorpusRun, check_one, core_term
+from conftest import KILLERS, CorpusRun, check_one, core_term, synth_program, without_ms
 
-from minihott import cli, conversion, printer
+from minihott import checker, cli, conversion, pipeline, printer
 from minihott import evaluate as evaluation
 from minihott import terms as t
 from minihott import values as v
-from minihott.conversion import conv
+from minihott.checker import Checker, Context
+from minihott.conversion import conv, subtype
 from minihott.corpus.manifest import emit_corpus
 from minihott.evaluate import KernelBug, apply, evaluate, normalize, project_fst, project_snd, quote, whnf
-from minihott.globals import Config
+from minihott.globals import Config, Globals
 from minihott.pipeline import check_files, run_deep
 from minihott.printer import print_term
 
@@ -79,6 +80,8 @@ def test_axioms_are_stuck():
 def test_unbound_variable_is_a_kernel_bug():
     with pytest.raises(KernelBug, match="unbound de Bruijn index 1 at depth 1"):
         evaluate((v.fresh(0),), t.Var(1))
+    with pytest.raises(KernelBug, match="unbound de Bruijn index 0 at depth 0"):
+        Checker(Globals()).infer(Context(), t.Var(0))
 
 
 def test_an_unlinked_reference_is_a_kernel_bug():
@@ -220,77 +223,7 @@ def test_universe_levels_are_not_lowered(source):
     assert decl.diagnostic.code == "type-mismatch"
 
 
-# Each program is rejected because of the kernel rule its id names: a
-# kernel that leaves that rule out of `checker` or `conversion` gives
-# another verdict.
-@pytest.mark.parametrize(
-    "source,config,code",
-    [
-        pytest.param(
-            "def bad : (A : U0) (a b : A) (p : Id A a b)"
-            " -> J (fun x y q => U1) (fun x => Nat) p -> J (fun x y q => U0) (fun x => Nat) p"
-            " := fun A a b p m => m",
-            Config(),
-            "type-mismatch",
-            id="J-motive",
-        ),
-        pytest.param(
-            "def bad : (n : Nat) -> natElim (fun _ => U1) Nat (fun k ih => Nat) n"
-            " -> natElim (fun _ => U0) Nat (fun k ih => Nat) n := fun n m => m",
-            Config(),
-            "type-mismatch",
-            id="natElim-motive",
-        ),
-        pytest.param(
-            "def bad : (b : Two) -> twoElim (fun _ => U1) Nat Nat b"
-            " -> twoElim (fun _ => U0) Nat Nat b := fun b m => m",
-            Config(),
-            "type-mismatch",
-            id="twoElim-motive",
-        ),
-        pytest.param(
-            "def bad : (e : Empty) -> emptyElim (fun _ => U1) e -> emptyElim (fun _ => U0) e := fun e m => m",
-            Config(),
-            "type-mismatch",
-            id="emptyElim-motive",
-        ),
-        pytest.param(
-            "def bad : Nat -> Nat := fun n => emptyElim (fun e => Nat) n",
-            Config(),
-            "type-mismatch",
-            id="emptyElim-target",
-        ),
-        pytest.param(
-            "def bad : (Nat * Nat) -> (Two * Nat) := fun p => p",
-            Config(),
-            "type-mismatch",
-            id="sigma-domain",
-        ),
-        pytest.param(
-            "def bad : (p : Nat * Nat) -> Id Nat (fst p) (snd p) := fun p => refl (fst p)",
-            Config(),
-            "endpoint-mismatch",
-            id="fst-snd-frames",
-        ),
-        pytest.param(
-            "def bad : Id (Nat * Nat) (0, 0) (0, 1) := refl (0, 0)",
-            Config(eta_sigma=False),
-            "endpoint-mismatch",
-            id="pair-components",
-        ),
-        pytest.param("def bad : Nat -> Nat := fun n => n n", Config(), "not-a-function", id="app-head"),
-        pytest.param(
-            "def bad : Nat -> Nat := fun n => J (fun x y p => Nat) (fun x => 0) n",
-            Config(),
-            "not-a-path",
-            id="J-path",
-        ),
-        pytest.param("def bad : Nat -> Nat := fun n => snd n", Config(), "not-a-pair", id="snd-of-non-pair"),
-        pytest.param("def bad : Nat := fst (0, 0)", Config(), "cannot-infer", id="inferred-pair"),
-        pytest.param("def bad : Nat := fun x => x", Config(), "type-mismatch", id="lambda-against-non-pi"),
-        pytest.param("def bad : Nat := (0, 0)", Config(), "type-mismatch", id="pair-against-non-sigma"),
-    ],
-)
+@pytest.mark.parametrize("source,config,code", KILLERS)
 def test_kernel_rules_reject_their_killers(source, config, code):
     [decl] = check_one(source, config).declarations
     assert (decl.status, decl.diagnostic and decl.diagnostic.code) == ("rejected", code)
@@ -518,6 +451,8 @@ def test_dispatch_tables_cover_every_class():
         assert set(table) == FRAME_CLASSES
     assert set(printer._PRINT) == records_of(t, t.Term)
     assert set(printer._FIELDS) == records_of(t, t.Term) - {t.Var}  # `_uses_top` compares a `Var` itself
+    assert set(checker._INFER) == records_of(t, t.Term)
+    assert set(checker._CHECK) == {t.Lam, t.Pair, t.Refl}  # the rest are inferred and compared
 
 
 def test_a_class_without_a_rule_is_a_kernel_bug():
@@ -534,6 +469,8 @@ def test_a_class_without_a_rule_is_a_kernel_bug():
     stray_spine = v.VNeutral(x.head, (StrayFrame(),))
     for fail in (
         lambda: evaluate((), StrayTerm()),
+        lambda: Checker(Globals()).infer(Context(), StrayTerm()),
+        lambda: Checker(Globals()).check(Context(), StrayTerm(), v.VNat()),
         lambda: print_term(StrayTerm()),
         lambda: printer._uses_top(StrayTerm()),
         lambda: quote(0, StrayValue()),
@@ -736,3 +673,207 @@ def test_conversion_of_mixed_classes_agrees_with_the_match_based_rules(case, eta
     answer = conversion.conv_structural(depth, a, b, eta_sigma=eta_sigma)
     assert answer == conv_structural(depth, a, b, eta_sigma=eta_sigma)
     assert answer == (with_eta if eta_sigma else without_eta)
+
+
+# --- checking: a differential test against the match-based rules the
+# dispatch tables replaced, kept here verbatim as the reference ---
+
+
+class MatchChecker(Checker):
+    made = 0  # instances, so that a test can see the reference was run
+
+    def __init__(self, glob: Globals):
+        super().__init__(glob)
+        MatchChecker.made += 1
+
+    def eval_in(self, ctx: Context, term: t.Term) -> v.Value:
+        return evaluate(ctx.env, term)
+
+    def conv(self, ctx: Context, a: v.Value, b: v.Value, ty: v.Value | None = None) -> bool:
+        return conv(ctx.depth, a, b, ty, eta_sigma=self.glob.config.eta_sigma)
+
+
+    def infer(self, ctx: Context, term: t.Term) -> v.Value:
+        match term:
+            case t.Var(index):
+                if index >= ctx.depth:
+                    self.fail("unbound-variable", f"de Bruijn index {index} out of range")
+                return ctx.lookup(index)
+            case t.Univ(level):
+                if level + 1 > self.glob.config.max_level:
+                    self.fail(
+                        "level-overflow",
+                        f"universe U{level} exceeds max_level {self.glob.config.max_level}",
+                    )
+                return v.VUniv(level + 1)
+            case t.Pi(dom, cod) | t.Sigma(dom, cod):
+                dom_v, i = self.infer_type(ctx, dom, "domain")
+                cod_ctx = ctx.extend("x", dom_v)
+                j = self.ensure_universe(cod_ctx, self.infer(cod_ctx, cod), "codomain")
+                return v.VUniv(max(i, j))
+            case t.Lam(_):
+                self.fail("cannot-infer", "unannotated function in inference position")
+            case t.Pair(_, _):
+                self.fail("cannot-infer", "unannotated pair in inference position")
+            case t.App(fn, arg):
+                fn_ty = whnf(self.infer(ctx, fn))
+                if not isinstance(fn_ty, v.VPi):
+                    self.fail(
+                        "not-a-function",
+                        f"application head has type {self.show(ctx, fn_ty)}, expected a function",
+                    )
+                self.check(ctx, arg, fn_ty.dom)
+                return fn_ty.cod(self.eval_in(ctx, arg))
+            case t.Fst(pair):
+                pair_ty = whnf(self.infer(ctx, pair))
+                if not isinstance(pair_ty, v.VSigma):
+                    self.fail("not-a-pair", f"fst of a term of type {self.show(ctx, pair_ty)}")
+                return pair_ty.fst_ty
+            case t.Snd(pair):
+                pair_ty = whnf(self.infer(ctx, pair))
+                if not isinstance(pair_ty, v.VSigma):
+                    self.fail("not-a-pair", f"snd of a term of type {self.show(ctx, pair_ty)}")
+                return pair_ty.snd_ty(project_fst(self.eval_in(ctx, pair)))
+            case t.Id(ty, lhs, rhs):
+                ty_v, level = self.infer_type(ctx, ty, "identity-type carrier")
+                self.check(ctx, lhs, ty_v)
+                self.check(ctx, rhs, ty_v)
+                return v.VUniv(level)
+            case t.Refl(arg):
+                arg_ty = self.infer(ctx, arg)
+                arg_v = self.eval_in(ctx, arg)
+                return v.VId(arg_ty, arg_v, arg_v)
+            case t.J(motive, base, path):
+                return self.infer_j(ctx, motive, base, path)
+            case t.Nat() | t.Empty() | t.Unit() | t.Two():
+                return v.VUniv(0)
+            case t.Zero():
+                return v.VNat()
+            case t.Suc(pred):
+                self.check(ctx, pred, v.VNat())
+                return v.VNat()
+            case t.NatElim(motive, base, step, target):
+                return self.infer_nat_elim(ctx, motive, base, step, target)
+            case t.EmptyElim(motive, target):
+                self.check(ctx, target, v.VEmpty())
+                motive_ctx = ctx.extend("e", v.VEmpty())
+                self.infer_type(motive_ctx, motive, "motive")
+                cl = v.Closure(ctx.env, motive, 1)
+                return cl(self.eval_in(ctx, target))
+            case t.Star():
+                return v.VUnit()
+            case t.Bit0() | t.Bit1():
+                return v.VTwo()
+            case t.TwoElim(motive, if0, if1, target):
+                self.check(ctx, target, v.VTwo())
+                motive_ctx = ctx.extend("b", v.VTwo())
+                self.infer_type(motive_ctx, motive, "motive")
+                cl = v.Closure(ctx.env, motive, 1)
+                self.check(ctx, if0, cl(v.VBit0()))
+                self.check(ctx, if1, cl(v.VBit1()))
+                return cl(self.eval_in(ctx, target))
+            case t.Ref(name):
+                # `Resolver.resolve` has rejected every unknown or rejected name
+                return self.glob.entries[name].type_value
+            case t.Ann(inner, ty):
+                ty_v, _ = self.infer_type(ctx, ty, "annotation")
+                self.check(ctx, inner, ty_v)
+                return ty_v
+            case _:
+                self.fail("internal", f"infer: unhandled term {term!r}")
+
+    def infer_j(self, ctx: Context, motive: t.Term, base: t.Term, path: t.Term) -> v.Value:
+        path_ty = whnf(self.infer(ctx, path))
+        if not isinstance(path_ty, v.VId):
+            self.fail("not-a-path", f"J applied to a term of type {self.show(ctx, path_ty)}")
+        carrier = path_ty.ty
+        x = ctx.extend("x", carrier)
+        xy = x.extend("y", carrier)
+        xyp = xy.extend("p", v.VId(carrier, v.fresh(ctx.depth), v.fresh(ctx.depth + 1)))
+        self.infer_type(xyp, motive, "J motive")
+        motive_cl = v.Closure(ctx.env, motive, 3)
+        base_ctx = ctx.extend("x", carrier)
+        base_var = v.fresh(ctx.depth)
+        self.check(base_ctx, base, motive_cl(base_var, base_var, v.VRefl(base_var)))
+        return motive_cl(path_ty.lhs, path_ty.rhs, self.eval_in(ctx, path))
+
+    def infer_nat_elim(self, ctx: Context, motive, base, step, target) -> v.Value:
+        self.check(ctx, target, v.VNat())
+        motive_ctx = ctx.extend("n", v.VNat())
+        self.infer_type(motive_ctx, motive, "motive")
+        cl = v.Closure(ctx.env, motive, 1)
+        self.check(ctx, base, cl(v.VZero()))
+        n_var = v.fresh(ctx.depth)
+        step_ctx = ctx.extend("n", v.VNat()).extend("ih", cl(n_var))
+        self.check(step_ctx, step, cl(v.VSuc(n_var)))
+        return cl(self.eval_in(ctx, target))
+
+    # -- checking --
+
+    def check(self, ctx: Context, term: t.Term, expected: v.Value) -> None:
+        # Match on the unfolded type but pass `expected` itself to
+        # `subtype`, which can compare glued definitions without unfolding.
+        match (term, whnf(expected)):
+            case (t.Lam(body), v.VPi(dom, cod)):
+                inner = ctx.extend("x", dom)
+                self.check(inner, body, cod(v.fresh(ctx.depth)))
+                return
+            case (t.Lam(_), _):
+                self.fail(
+                    "type-mismatch",
+                    f"function literal checked against non-function type {self.show(ctx, expected)}",
+                )
+            case (t.Pair(fst, snd), v.VSigma(fst_ty, snd_ty)):
+                self.check(ctx, fst, fst_ty)
+                self.check(ctx, snd, snd_ty(self.eval_in(ctx, fst)))
+                return
+            case (t.Pair(_, _), _):
+                self.fail(
+                    "type-mismatch",
+                    f"pair literal checked against non-pair type {self.show(ctx, expected)}",
+                )
+            case (t.Refl(arg), v.VId(ty, lhs, rhs)):
+                self.check(ctx, arg, ty)
+                arg_v = self.eval_in(ctx, arg)
+                if not (self.conv(ctx, arg_v, lhs, ty) and self.conv(ctx, arg_v, rhs, ty)):
+                    self.fail(
+                        "endpoint-mismatch",
+                        "refl endpoints do not match: "
+                        f"refl {self.show(ctx, arg_v)} checked against "
+                        f"Id {self.show(ctx, lhs)} {self.show(ctx, rhs)}",
+                    )
+                return
+            case _:
+                actual = self.infer(ctx, term)
+                if not subtype(ctx.depth, actual, expected, eta_sigma=self.glob.config.eta_sigma):
+                    self.fail(
+                        "type-mismatch",
+                        f"expected {self.show(ctx, expected)}, found {self.show(ctx, actual)}",
+                    )
+
+
+
+def test_checking_agrees_with_the_match_based_rules(monkeypatch):
+    """The JSON reports, diagnostics included, equal the reference's on the
+    corpus through level 0, synth seed 1, the programs conversion rejects
+    and the killer programs, each under its own `Config`."""
+    programs = [
+        *((source, Config(eta_sigma=eta)) for source in REJECTED_BY_CONVERSION for eta in (True, False)),
+        *((source, config) for source, config, _ in (param.values for param in KILLERS)),
+        (synth_program(1), Config()),
+    ]
+
+    def reports() -> list:
+        run = CorpusRun(prefixes=("prelude/", "generic/", "levels/level0/"))
+        checked = [report for _, report in run.files] + [check_one(*program) for program in programs]
+        return [without_ms(report.to_json()) for report in checked]
+
+    table_based = reports()
+    made = MatchChecker.made
+    monkeypatch.setattr(pipeline, "Checker", MatchChecker)
+    assert reports() == table_based
+    assert MatchChecker.made - made == len(table_based)  # one checker per file
+    diagnostics = [d["diagnostic"] for report in table_based for d in report["declarations"] if "diagnostic" in d]
+    assert {d["code"] for d in diagnostics} == {
+        "type-mismatch", "endpoint-mismatch", "not-a-function", "not-a-pair", "not-a-path", "cannot-infer"
+    }
