@@ -24,8 +24,6 @@ if TYPE_CHECKING:
     from .pipeline import check_files, run_deep
     from .printer import print_term
 
-MAX_LEVEL_ENV = "MINIHOTT_MAX_LEVEL"
-
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
@@ -93,10 +91,10 @@ def __getattr__(name: str):
 def _config(args: argparse.Namespace) -> Config:
     from .globals import DEFAULT_MAX_LEVEL, Config
 
-    max_level = getattr(args, "max_level", None)
-    if max_level is None:
-        max_level = int(os.environ.get(MAX_LEVEL_ENV, DEFAULT_MAX_LEVEL))
-    return Config(max_level=max_level, eta_sigma=getattr(args, "eta_sigma", True))
+    max_level = DEFAULT_MAX_LEVEL if args.max_level is None else args.max_level
+    if max_level < 0:
+        raise ValueError(f"--max-level must be at least 0, not {max_level}")
+    return Config(max_level=max_level, eta_sigma=args.eta_sigma)
 
 
 def _read_files(paths: list[str]):

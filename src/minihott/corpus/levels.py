@@ -294,13 +294,9 @@ def _forget(f: HottFile, n: int) -> None:
         "path.",
         ref="transferred-loop-nontriviality")
 
-    args = [bp, bp]
-    for k in range(1, n + 1):
-        args += [atom(tow(bp, k)), atom(tow(bp, k))]
-    args += [f"subLoop{n}", atom(tow(bp, n + 1))]
     f.d("def", f"subUniverseNotTrunc{n}",
         f"isTrunc{i} {t} {sub} -> Empty",
-        f"fun h => subLoopNontrivial{n} (fst (h {' '.join(args)}))",
+        f"fun h => subLoopNontrivial{n} (fst (h {_loop_args(bp, f'subLoop{n}', n)}))",
         ref="sub-universe-is-not-truncated")
     f.d("def", f"loopTypeNotTrunc{n}",
         f"isTrunc {t} loopType{n} -> Empty",
@@ -310,6 +306,31 @@ def _forget(f: HottFile, n: int) -> None:
         comment="The sub-universe is a retract of the loop total type via the\n"
         "trivial-loop section.",
         ref="loop-total-type-is-not-truncated")
+
+
+def _loop_args(x: str, loop: str, n: int) -> str:
+    """`isTrunc`'s arguments: the k-fold trivial loop on `x` twice for each
+    k <= n, then `loop` against the (n+1)-fold one."""
+    return " ".join([*(atom(tow(x, k)) for k in range(n + 1) for _ in range(2)), loop, atom(tow(x, n + 1))])
+
+
+def _universe_not_trunc(f: HottFile, n: int, name: str, ref: str, comment: str = "") -> None:
+    """U{n} is not truncated: its universe loop at the previous loop total type."""
+    f.d("def", name, f"isTrunc{n + 1} {n + 2} U{n} -> Empty",
+        f"fun h => universeLoopNontrivial{n}"
+        f" (fst (h {_loop_args(f'loopType{n - 1}', f'universeLoop{n}', n)}))",
+        comment=comment, ref=ref)
+
+
+def _goals(f: HottFile, n: int) -> None:
+    """The level's sub-universe and loop-total-type truncation goals."""
+    word, t = ("One", "Two")[n - 1], n + 2
+    f.d("goal", f"subUniverse{word}NotTruncCheck", f"isTrunc{n + 1} {t} subUniverse{n} -> Empty",
+        f"subUniverseNotTrunc{n}", ref="sub-universe-is-not-truncated")
+    f.d("goal", f"loopType{word}TruncCheck", f"isTrunc {t + 1} loopType{n}",
+        f"loopTypeIsTrunc{n}", ref="loop-total-type-truncation-bound")
+    f.d("goal", f"loopType{word}NotTruncCheck", f"isTrunc {t} loopType{n} -> Empty",
+        f"loopTypeNotTrunc{n}", ref="loop-total-type-is-not-truncated")
 
 
 # ---------------------------------------------------------------------------
@@ -580,26 +601,10 @@ def subuniverse1() -> HottFile:
     )
     _sub_universe(f, 1)
     _step(f, 1)
-    f.d("def", "universeOneNotGroupoidFromLoops",
-        "isTrunc2 3 U1 -> Empty",
-        "fun h => universeLoopNontrivial1 (fst (h loopType0 loopType0"
-        " (refl loopType0) (refl loopType0) universeLoop1"
-        " (refl (refl loopType0))))",
-        comment="The lifted-loop route to the same theorem.",
-        ref="universe-one-is-not-a-one-type")
+    _universe_not_trunc(f, 1, "universeOneNotGroupoidFromLoops", "universe-one-is-not-a-one-type",
+                        comment="The lifted-loop route to the same theorem.")
     _forget(f, 1)
-    f.d("goal", "subUniverseOneNotTruncCheck",
-        "isTrunc2 3 subUniverse1 -> Empty",
-        "subUniverseNotTrunc1",
-        ref="sub-universe-is-not-truncated")
-    f.d("goal", "loopTypeOneTruncCheck",
-        "isTrunc 4 loopType1",
-        "loopTypeIsTrunc1",
-        ref="loop-total-type-truncation-bound")
-    f.d("goal", "loopTypeOneNotTruncCheck",
-        "isTrunc 3 loopType1 -> Empty",
-        "loopTypeNotTrunc1",
-        ref="loop-total-type-is-not-truncated")
+    _goals(f, 1)
     return f
 
 
@@ -626,30 +631,13 @@ def theorems2() -> HottFile:
         "truncation refutations, and their sub-universe transfers.",
     )
     _step(f, 2)
-    f.d("def", "universeTwoNotTwoType",
-        "isTrunc3 4 U2 -> Empty",
-        "fun h => universeLoopNontrivial2 (fst (h loopType1 loopType1"
-        " (refl loopType1) (refl loopType1) (refl (refl loopType1))"
-        " (refl (refl loopType1)) universeLoop2"
-        " (refl (refl (refl loopType1)))))",
-        ref="universe-two-is-not-a-two-type")
+    _universe_not_trunc(f, 2, "universeTwoNotTwoType", "universe-two-is-not-a-two-type")
     f.d("goal", "universeTwoNotTwoTypeCheck",
         "isTrunc3 4 U2 -> Empty",
         "universeTwoNotTwoType",
         ref="universe-two-is-not-a-two-type")
     _forget(f, 2)
-    f.d("goal", "subUniverseTwoNotTruncCheck",
-        "isTrunc3 4 subUniverse2 -> Empty",
-        "subUniverseNotTrunc2",
-        ref="sub-universe-is-not-truncated")
-    f.d("goal", "loopTypeTwoTruncCheck",
-        "isTrunc 5 loopType2",
-        "loopTypeIsTrunc2",
-        ref="loop-total-type-truncation-bound")
-    f.d("goal", "loopTypeTwoNotTruncCheck",
-        "isTrunc 4 loopType2 -> Empty",
-        "loopTypeNotTrunc2",
-        ref="loop-total-type-is-not-truncated")
+    _goals(f, 2)
     return f
 
 

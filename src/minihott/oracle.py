@@ -112,7 +112,7 @@ def automorphisms(a: FinSet, bound: int = DEFAULT_BOUND) -> list[FinBij]:
 
 def _check_bound(bound: int) -> None:
     if not 0 <= bound <= MAX_BOUND:
-        raise ValueError(f"bound {bound} exceeds maximum {MAX_BOUND}")
+        raise ValueError(f"bound {bound} is outside the allowed range 0..{MAX_BOUND}")
 
 
 # --- reporting ---

@@ -30,17 +30,16 @@ _HEADS = {
     for keyword, (node, params) in ELIMS.items()
 }
 _CONSTS = {term.__class__: keyword for keyword, term in CONST_TERMS.items()}
-# The binders of each field of every class but `Var`, for `_uses_top`.
-_FIELDS = {node: fields for node, (_, fields) in _HEADS.items()} | {
-    cls: tuple(zip(cls.__match_args__, binders))
-    for cls, binders in {
-        t.Pi: (0, 1), t.Sigma: (0, 1), t.Lam: (1,), t.App: (0, 0), t.Pair: (0, 0), t.Ann: (0, 0)
-    }.items()
-} | dict.fromkeys((t.Univ, t.Ref, t.Zero, *_CONSTS), ())
+
+
+class _Used(str):
+    """A name in scope that a variable has printed."""
+
+    __slots__ = ()
 
 
 def print_term(term: t.Term, names: list[str] | tuple[str, ...] = ()) -> str:
-    return _print(term, list(names), _ARROW)
+    return str(_print(term, list(names), _ARROW))  # not the `_Used` of a bare variable
 
 
 def _bind(names: list[str]) -> str:
@@ -61,18 +60,21 @@ def _print(term: t.Term, names: list[str], prec: int) -> str:
 
 def _print_var(term: t.Var, names: list[str], prec: int) -> str:
     if term.index < len(names):
-        return names[len(names) - 1 - term.index]
+        at = len(names) - 1 - term.index
+        names[at] = name = _Used(names[at])
+        return name
     return f"!{term.index - len(names)}"  # dangling index; diagnostics only
 
 
 def _print_quantifier(term: t.Pi | t.Sigma, names: list[str], prec: int) -> str:
-    # A domain that the codomain does not use binds one level tighter.
+    # A domain that the codomain does not use binds one level tighter; the
+    # binder comes back `_Used` if printing the codomain printed it.
     dom, cod = (getattr(term, field) for field in term.__match_args__)
     op, level = ("->", _ARROW) if term.__class__ is t.Pi else ("*", _TIMES)
-    x = _bind(names)
+    _bind(names)
     body = _print(cod, names, level)
-    names.pop()
-    if _uses_top(cod):
+    x = names.pop()
+    if x.__class__ is _Used:
         return _wrap(f"({x} : {_print(dom, names, _ARROW)}) {op} {body}", prec, level)
     return _wrap(f"{_print(dom, names, level + 1)} {op} {body}", prec, level)
 
@@ -122,20 +124,3 @@ _PRINT = {
     ),
     t.Zero: lambda term, names, prec: "0",
 }
-
-
-def _uses_top(term: t.Term, depth: int = 0) -> bool:
-    """Does a one-binder body refer to its bound variable?  `depth` counts
-    the binders entered inside the body, under which the variable is
-    `Var(depth)`.  Module-level, not a recursive closure: that would be a
-    reference cycle, and checking runs with the cyclic garbage collector off."""
-    if term.__class__ is t.Var:
-        return term.index == depth
-    try:
-        fields = _FIELDS[term.__class__]
-    except KeyError:
-        raise KernelBug(f"print: unhandled term {term!r}") from None
-    for field, binders in fields:
-        if _uses_top(getattr(term, field), depth + binders):
-            return True
-    return False

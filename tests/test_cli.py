@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from conftest import KILLERS, SCHEMA, synth_program, without_ms
 
-from minihott.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, MAX_LEVEL_ENV, main
+from minihott.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from minihott.globals import Config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -149,6 +149,12 @@ def test_oracle_unknown_suite_exits_two(capsys):
 
 def test_oracle_excessive_bound_exits_two(capsys):
     assert main(["oracle", "--bound", "99"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("bound", ["-1", "7"])
+def test_oracle_bound_outside_its_range_names_the_range(capsys, bound):
+    assert main(["oracle", "--bound", bound]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: bound {bound} is outside the allowed range 0..6\n"
 
 
 def test_oracle_bound_defaults_to_the_oracle_default(monkeypatch, capsys):
@@ -307,13 +313,22 @@ def test_no_eta_sigma_flag_changes_acceptance(tmp_path):
     assert main(["check", "--no-eta-sigma", path]) == EXIT_REJECTED
 
 
-def test_max_level_env_var_lowers_the_ceiling(tmp_path, monkeypatch, capsys):
+def test_max_level_flag_sets_the_ceiling(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "lvl.hott", "def a : U3 := U2\n")
     assert main(["check", path]) == EXIT_OK
-    monkeypatch.setenv(MAX_LEVEL_ENV, "2")
-    assert main(["check", path]) == EXIT_REJECTED
-    # an explicit flag wins over the environment
-    assert main(["check", "--max-level", "8", path]) == EXIT_OK
+    assert main(["check", "--max-level", "3", path]) == EXIT_REJECTED
+    assert main(["check", "--max-level", "4", path]) == EXIT_OK
+    # the flag is the only way to set it
+    monkeypatch.setenv("MINIHOTT_MAX_LEVEL", "2")
+    assert main(["check", path]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", [["check"], ["normalize", "--name", "a"]])
+def test_negative_max_level_is_a_usage_error(tmp_path, capsys, command):
+    path = write(tmp_path, "lvl.hott", "def a : U1 := U0\n")
+    assert main([*command, "--max-level", "-1", path]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: --max-level must be at least 0, not -1\n")
 
 
 # --- generation ---
@@ -507,6 +522,7 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
         (["check", str(killers_path)], EXIT_REJECTED),
         # a printed normal form: Pi, lambdas, J, Id and refl
         (["normalize", prelude, "--name", "transportLoop"], EXIT_OK),
+        (["oracle"], EXIT_OK),
     ]
     [rejected] = report(sys.executable, ["check", str(killers_path)])[1]["reports"]
     assert [d["diagnostic"]["code"] for d in rejected["declarations"]] == [code for _, code in killers]
@@ -515,3 +531,14 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
         assert expected[0] == code
         for python in interpreters:
             assert report(python, args) == expected, python
+
+    def generated(python, out: pathlib.Path) -> dict:
+        subprocess.run(
+            [str(python), "-m", "minihott", "gen", "--level", "2", "--out", str(out)],
+            capture_output=True, env=env, timeout=120, check=True,
+        )
+        return snapshot(out)
+
+    corpus = generated(sys.executable, tmp_path / "gen")
+    for i, python in enumerate(interpreters):
+        assert generated(python, tmp_path / f"gen-{i}") == corpus, python

@@ -285,6 +285,33 @@ def test_printer_renames_a_binder_that_clashes_with_a_context_name():
     assert print_term(t.Lam(t.App(t.Var(0), t.Var(1))), ["x1"]) == "fun x1' => x1' x1"
 
 
+@pytest.mark.parametrize(
+    "term, names, expected",
+    [
+        # the binder used only under a `J` motive's three binders, a
+        # `natElim` step's two, or a `fun`'s one
+        (t.Pi(t.Univ(0), t.J(t.Var(3), t.Star(), t.Star())), (), "(x0 : U0) -> J (fun x1 x2 x3 => x0) (fun x1 => star) star"),
+        (t.Pi(t.Nat(), t.NatElim(t.Nat(), t.Zero(), t.Var(2), t.Zero())), (), "(x0 : Nat) -> natElim (fun x1 => Nat) 0 (fun x1 x2 => x0) 0"),
+        (t.Pi(t.Nat(), t.Lam(t.Var(1))), (), "(x0 : Nat) -> fun x1 => x0"),
+        # the nested binders use only their own variables
+        (t.Pi(t.Univ(0), t.J(t.Id(t.Var(2), t.Var(1), t.Var(0)), t.Refl(t.Var(0)), t.Star())), (), "U0 -> J (fun x1 x2 x3 => Id x1 x2 x3) (fun x1 => refl x1) star"),
+        (t.Pi(t.Nat(), t.NatElim(t.Nat(), t.Zero(), t.Suc(t.Var(0)), t.Zero())), (), "Nat -> natElim (fun x1 => Nat) 0 (fun x1 x2 => suc x2) 0"),
+        (t.Pi(t.Nat(), t.Lam(t.Var(0))), (), "Nat -> fun x1 => x1"),
+        (t.Pi(t.Nat(), t.Nat()), (), "Nat -> Nat"),
+        (t.Sigma(t.Nat(), t.Id(t.Nat(), t.Var(0), t.Zero())), (), "(x0 : Nat) * Id Nat x0 0"),
+        (t.Sigma(t.Nat(), t.Nat()), (), "Nat * Nat"),
+        # At depth 1 the invented name is `x1`, renamed `x1'` against the
+        # context; the use is the renamed binder's, or the context name's.
+        (t.Pi(t.Nat(), t.Var(0)), ("x1",), "(x1' : Nat) -> x1'"),
+        (t.Pi(t.Nat(), t.Var(1)), ("x1",), "Nat -> x1"),
+        (t.Sigma(t.Nat(), t.Pi(t.Var(0), t.Var(2))), ("x1",), "(x1' : Nat) * (x1' -> x1)"),
+    ],
+)
+def test_printer_names_a_quantifier_binder_only_when_its_body_uses_it(term, names, expected):
+    assert print_term(term, names) == expected
+    assert print_term(term, names).__class__ is str
+
+
 def test_print_round_trip_fixed_cases():
     cases = [
         t.Lam(t.Var(0)),
@@ -534,7 +561,7 @@ SHAPES = [
 
 def test_printer_agrees_with_the_match_based_printer_on_every_pair_of_shapes():
     """Each node over each pair of shapes, at the top and as the codomain
-    of a `Pi`, which asks `_uses_top` about every field of the node."""
+    of a `Pi`, whose binder the printer names only if a field uses it."""
     for a in SHAPES:
         for b in SHAPES:
             nodes = [
