@@ -14,6 +14,7 @@ import gc
 import json
 import os
 import sys
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, NoReturn
 
 from .diagnostics import CheckFailure, KernelBug
@@ -97,11 +98,69 @@ def _config(args: argparse.Namespace) -> Config:
     return Config(max_level=max_level, eta_sigma=args.eta_sigma)
 
 
+def json_text(value) -> str:
+    """`json.dumps(value, ensure_ascii=False, indent=2)`, string for string,
+    for the dicts, lists, strings, numbers, booleans and None of a report.
+    Given `indent`, `json.dumps` gives up its C encoder for a pure-Python
+    one; this takes about half its time on a large report.  The text is
+    joined once, from pieces no larger than one line, so that a large
+    report is not copied once for each level of nesting."""
+    pieces: list[str] = []
+    _json_pieces(value, "\n", pieces.append)
+    return "".join(pieces)
+
+
+def _json_pieces(value, indent: str, put) -> None:
+    cls = value.__class__
+    if cls is dict and value:
+        inner = indent + "  "
+        sep = "{" + inner
+        for k, v in value.items():
+            if (v.__class__ is dict or v.__class__ is list) and v:
+                put(f"{sep}{encode_basestring(k)}: ")
+                _json_pieces(v, inner, put)
+            else:
+                put(f"{sep}{encode_basestring(k)}: {_json_scalar(v)}")
+            sep = "," + inner
+        put(indent + "}")
+    elif cls is list and value:
+        inner = indent + "  "
+        sep = "[" + inner
+        for v in value:
+            put(sep)
+            _json_pieces(v, inner, put)
+            sep = "," + inner
+        put(indent + "]")
+    else:
+        put(_json_scalar(value))
+
+
+# The JSON text of each constant a report holds; NaN, which equals nothing,
+# is tested apart.
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false", float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _json_scalar(value) -> str:
+    """The JSON text of a string, number, constant, `{}` or `[]`."""
+    cls = value.__class__
+    if cls is str:
+        return encode_basestring(value)
+    if cls is int or (cls is float and value - value == 0):  # an int or a finite float
+        return repr(value)
+    if cls is dict or cls is list:
+        return "{}" if cls is dict else "[]"
+    return "NaN" if value != value else _JSON_CONSTANTS[value]
+
+
 def _read_files(paths: list[str]):
     """(path, text) of each file, read only when the driver reaches it."""
     for path in paths:
         with open(path, encoding="utf-8") as handle:
-            yield path, handle.read()
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        yield path, text
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -109,7 +168,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     config = _config(args)
     reports, _ = run_deep(lambda: check_files(_read_files(args.files), config))
     if args.format == "json":
-        print(json.dumps({"reports": [r.to_json() for r in reports]}, ensure_ascii=False, indent=2))
+        print(json_text({"reports": [r.to_json() for r in reports]}))
     else:
         for report in reports:
             for decl in report.declarations:
@@ -158,7 +217,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
     written = manifest.write_corpus(args.out, args.level)
     if args.format == "json":
-        print(json.dumps({"out": args.out, "written": written}, ensure_ascii=False, indent=2))
+        print(json_text({"out": args.out, "written": written}))
     else:
         for rel in written:
             print(os.path.join(args.out, rel))
@@ -171,7 +230,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     bound = oracle.DEFAULT_BOUND if args.bound is None else args.bound
     reports = oracle.run_suites(args.suite, bound)
     if args.format == "json":
-        print(json.dumps(oracle.reports_to_json(reports), ensure_ascii=False, indent=2))
+        print(json_text(oracle.reports_to_json(reports)))
     else:
         for report in reports:
             status = "pass" if report.ok else "FAIL"

@@ -70,55 +70,71 @@ DECL_KEYWORDS = {"def", "axiom", "goal"}
 
 KEYWORDS = DECL_KEYWORDS | {"fun"} | set(ELIMS) | set(CONST_TERMS)
 
-# One match per token. Whitespace and plain `--` comments are skipped by the
-# leading part; `bad` takes any other character and `eof` the end, so the
-# pattern matches wherever the last match ended and never backtracks into
-# the skipped part.
-_TOKEN_RE = re.compile(
-    r"""
-    \s* (?: --(?![!@])[^\n]* \s* )*
-    (?:
-      (?P<pragma>--!\s*[^\n]*)
-    | (?P<srcref>--@\s*[^\n]*)
-    | (?P<univ>U[0-9]+\b)
-    | (?P<num>[0-9]+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<punct>:=|->|=>|[():,*])
-    | (?P<bad>.)
-    | (?P<eof>\Z)
-    )
-    """,
-    re.VERBOSE,
-)
+# One match per token, with the whitespace before it: a `--` comment is a
+# token too, `.` takes any other character and `\Z` the end.  `U[0-9]+\b`
+# comes before identifiers, so `U1'` is `U1` followed by a stray `'`;
+# punctuation, the commonest token, is tried first.
+_TOKEN_RE = re.compile(r"(\s*)(:=|->|=>|[():,*]|U[0-9]+\b|[A-Za-z_][A-Za-z0-9_']*|[0-9]+|--[^\n]*|.|\Z)")
+
+# A `--!` or `--@` comment with nothing else on its line takes the next line
+# that has something on it.
+_BLANK_NOTE_RE = re.compile(r"--[!@]\s*[^\n]*")
+
+# `tokenize` scans this many characters at a time, and on to the end of the
+# line: a token never spans a newline.
+CHUNK = 16384
 
 # A token: (kind, text, start, end). The kind is "ident", "kw", "univ",
 # "num", "pragma", "srcref", the punctuation itself, or "eof".
 Token = tuple[str, str, int, int]
 
+# The kind of a token given by its text alone; "" is a chunk's end.
+_KINDS = {kw: "kw" for kw in KEYWORDS} | {p: p for p in (":=", "->", "=>", "(", ")", ":", ",", "*")} | {"": ""}
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NOTES = {"!": "pragma", "@": "srcref"}
+
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of `source`, the last one `eof`; a character that starts
+    no token is a lex error."""
     tokens: list[Token] = []
     append = tokens.append
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        text = m[kind]
-        start = m.start(kind)
-        if kind == "ident":
-            if text in KEYWORDS:
-                kind = "kw"
-        elif kind == "punct":
-            kind = text
-        elif kind == "pragma" or kind == "srcref":
-            text = text[3:].strip()
-        elif kind == "bad":
-            raise CheckFailure(
-                Diagnostic("lex", f"unexpected character {text!r}", Span(start, start))
-            )
-        # The token's group ends the pattern, so it ends where the match does.
-        append((kind, text, start, m.end()))
-        if kind == "eof":  # else `finditer` goes on to an empty match at the end
-            break
-    return tokens
+    kinds = _KINDS.get
+    findall = _TOKEN_RE.findall
+    size = len(source)
+    pos = 0
+    while True:
+        stop = source.find("\n", pos + CHUNK) + 1 or size
+        for space, text in findall(source, pos, stop):
+            start = pos + len(space)
+            pos = start + len(text)
+            kind = kinds(text)
+            if kind is None:
+                first = text[0]
+                if first in _IDENT_START:
+                    kind = "univ" if first == "U" and text[1:].isdigit() else "ident"
+                elif "0" <= first <= "9":
+                    kind = "num"
+                elif text[:2] == "--":
+                    kind = _NOTES.get(text[2:3])
+                    if kind is None:
+                        continue
+                    note = text[3:].strip()
+                    if not note:
+                        pos = _BLANK_NOTE_RE.match(source, start).end()
+                        append((kind, source[start + 3 : pos].strip(), start, pos))
+                        break  # scan again from `pos`
+                    text = note
+                else:
+                    raise CheckFailure(
+                        Diagnostic("lex", f"unexpected character {text!r}", Span(start, start))
+                    )
+            elif not kind:  # the end of the chunk
+                if pos == size:
+                    append(("eof", "", size, size))
+                    return tokens
+                continue
+            append((kind, text, start, pos))
 
 
 @record
@@ -225,11 +241,19 @@ class Parser:
         return left
 
     def parse_times(self) -> t.Term:
-        left = self.parse_app()
-        if self.tokens[self.pos][0] == "*":
-            self.pos += 1
-            return t.Sigma(left, self.parse_under(("_",), self.parse_times))
-        return left
+        """`times ::= app ("*" times)?`, with the loop of `app` inline: it
+        runs after every atom."""
+        head = self.parse_atom()
+        tokens = self.tokens
+        while True:
+            kind, text, _, _ = tokens[self.pos]
+            if kind in {"ident", "univ", "num", "("} or (kind == "kw" and text not in DECL_KEYWORDS):
+                head = t.App(head, self.parse_atom())
+            elif kind == "*":
+                self.pos += 1
+                return t.Sigma(head, self.parse_under(("_",), self.parse_times))
+            else:
+                return head
 
     def parse_under(self, names, parse) -> t.Term:
         """Parse with `names` bound, the last innermost."""
@@ -239,15 +263,9 @@ class Parser:
         self.scope = outer
         return term
 
-    def parse_app(self) -> t.Term:
-        head = self.parse_atom()
-        while self.at_atom():
-            head = t.App(head, self.parse_atom())
-        return head
-
     def at_atom(self) -> bool:
         kind, text, _, _ = self.tokens[self.pos]
-        return kind in ("ident", "univ", "num", "(") or (kind == "kw" and text not in DECL_KEYWORDS)
+        return kind in {"ident", "univ", "num", "("} or (kind == "kw" and text not in DECL_KEYWORDS)
 
     def parse_atom(self) -> t.Term:
         tok = self.tokens[self.pos]
@@ -322,7 +340,8 @@ class Parser:
         return body
 
     def parse_parenthesized(self) -> t.Term:
-        if self.telescope_arrow(self.pos) is not None:
+        # A telescope's first group starts `(x`: most parentheses fail that test here.
+        if self.tokens[self.pos + 1][0] == "ident" and self.telescope_arrow(self.pos) is not None:
             return self.parse_telescope()
         self.pos += 1
         term = self.parse_term()

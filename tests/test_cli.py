@@ -11,8 +11,10 @@ import sys
 import jsonschema
 import pytest
 from conftest import KILLERS, SCHEMA, synth_program, without_ms
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minihott.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
+from minihott.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, json_text, main
 from minihott.globals import Config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -59,6 +61,18 @@ def test_lex_and_parse_errors_name_the_file(tmp_path, capsys, code, text):
     assert main(["check", good, bad]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:") and f"error [{code}]" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "normalize"])
+def test_a_file_that_is_not_utf8_names_itself(tmp_path, capsys, command):
+    good = write(tmp_path, "good.hott", GOOD)
+    bad = tmp_path / "bad.hott"
+    bad.write_bytes(b"\xff" + GOOD.encode())
+    names = ["--name", "idTwo"] if command == "normalize" else []
+    assert main([command, good, str(bad), *names]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0")
     assert err.count("\n") == 1
 
 
@@ -126,6 +140,52 @@ def test_corpus_reports_validate_against_schema(tmp_path, capsys):
     assert code == EXIT_OK
     for report in payload["reports"]:
         jsonschema.validate(report, SCHEMA)
+
+
+# --- the JSON writer ---
+
+JSON_STRINGS = st.text() | st.sampled_from(["", '"', "\\", '\\"', "\x00\x1f\x7f\n\t", "é∀ 𝔘", "\u2028\ufeff"])
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([1e16, 1.5e-07, -0.0, 0.1, float("nan"), float("inf"), float("-inf")])
+    | JSON_STRINGS
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_writes_what_json_dumps_writes(value):
+    assert json_text(value) == json.dumps(value, ensure_ascii=False, indent=2)
+
+
+def test_json_writer_on_nested_empty_and_special_values():
+    value = {"a": {}, "b": [], "c": [{}, [[]], {"d": None}], "": [True, False, 0, -1, 1e16, 1.5e-07]}
+    assert json_text(value) == json.dumps(value, ensure_ascii=False, indent=2)
+    assert json_text([float("nan"), float("inf"), -float("inf")]) == "[\n  NaN,\n  Infinity,\n  -Infinity\n]"
+
+
+def test_reports_are_written_as_json_dumps_writes_them(tmp_path, capsys):
+    corpus = ROOT / "corpus" / "generated"
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    synth = [write(tmp_path, f"synth-{seed}.hott", synth_program(seed)) for seed in (1, 2, 3)]
+    runs = [
+        ["check", *(str(corpus / f["path"]) for f in manifest["files"])],
+        *(["check", path] for path in synth),
+        ["oracle"],
+        ["gen", "--level", "2", "--out", str(tmp_path / "gen")],
+    ]
+    for args in runs:
+        main(["--format", "json", *args])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), ensure_ascii=False, indent=2) + "\n", args[0]
 
 
 # --- oracle command ---

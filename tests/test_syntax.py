@@ -4,10 +4,11 @@ import pathlib
 import re
 
 import pytest
-from conftest import core_term
+from conftest import core_term, synth_program
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minihott import parser
 from minihott import terms as t
 from minihott.diagnostics import CheckFailure, Diagnostic, Span
 from minihott.parser import KEYWORDS, parse_module, tokenize
@@ -177,6 +178,35 @@ LEX_FRAGMENTS = [
 )
 def test_tokenize_matches_reference_on_fragments(source):
     assert lex_outcome(tokenize, source) == lex_outcome(reference_tokenize, source)
+
+
+# A `--!` or `--@` comment with nothing else on its line takes the next
+# line that has something on it.
+BLANK_NOTES = ["--!\n  requires-ua\n", "--@ \t\n\n tag here\n", "--!  ", "--@\n"]
+
+
+def chunk_edge_sources() -> list[str]:
+    """The corpus, synth seed 1 and the lexer fragments, one to a line, so
+    that with a small `parser.CHUNK` a chunk ends after every kind of
+    token; a fragment that does not lex gets a source of its own."""
+    fragments = [f for f in LEX_FRAGMENTS if lex_outcome(reference_tokenize, f).__class__ is list]
+    bad = [f for f in LEX_FRAGMENTS if f not in fragments]
+    return [
+        *(path.read_text() for path in sorted(CORPUS.rglob("*.hott"))),
+        synth_program(1),
+        "\n".join(fragments),
+        " \n".join(fragments),
+        *(f"def x\n{f}\nU0" for f in bad),
+        *(f"a\n{note}b" for note in BLANK_NOTES),
+        *BLANK_NOTES,
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_tokenize_matches_reference_across_chunk_edges(monkeypatch, chunk):
+    monkeypatch.setattr(parser, "CHUNK", chunk)
+    for source in chunk_edge_sources():
+        assert lex_outcome(tokenize, source) == lex_outcome(reference_tokenize, source), source[:80]
 
 
 # --- printing: round trip ---
