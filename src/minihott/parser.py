@@ -19,7 +19,8 @@ Top level:
     decl ::= ("def" | "axiom" | "goal") IDENT ":" term (":=" term)?
 
 Comments start with `--`.  A `--!` comment is a file pragma and a
-`--@` comment attaches a free-text tag to the following declaration.
+`--@` comment attaches a free-text tag to the following declaration;
+the text of either is the rest of its line, and may be empty.
 
 The parser keeps the scope of local binders and builds `terms` nodes as
 it goes: `Var(index)` for a bound name and `Ref(name)` for any other.
@@ -76,10 +77,6 @@ KEYWORDS = DECL_KEYWORDS | {"fun"} | set(ELIMS) | set(CONST_TERMS)
 # punctuation, the commonest token, is tried first.
 _TOKEN_RE = re.compile(r"(\s*)(:=|->|=>|[():,*]|U[0-9]+\b|[A-Za-z_][A-Za-z0-9_']*|[0-9]+|--[^\n]*|.|\Z)")
 
-# A `--!` or `--@` comment with nothing else on its line takes the next line
-# that has something on it.
-_BLANK_NOTE_RE = re.compile(r"--[!@]\s*[^\n]*")
-
 # `tokenize` scans this many characters at a time, and on to the end of the
 # line: a token never spans a newline.
 CHUNK = 16384
@@ -119,12 +116,7 @@ def tokenize(source: str) -> list[Token]:
                     kind = _NOTES.get(text[2:3])
                     if kind is None:
                         continue
-                    note = text[3:].strip()
-                    if not note:
-                        pos = _BLANK_NOTE_RE.match(source, start).end()
-                        append((kind, source[start + 3 : pos].strip(), start, pos))
-                        break  # scan again from `pos`
-                    text = note
+                    text = text[3:].strip()
                 else:
                     raise CheckFailure(
                         Diagnostic("lex", f"unexpected character {text!r}", Span(start, start))

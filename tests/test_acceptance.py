@@ -19,7 +19,7 @@ PRELUDE_AND_GENERIC = ["prelude/", "generic/"]
 LEVEL0_BUDGET_SECONDS = 10.0
 LEVEL1_BUDGET_SECONDS = 10.0
 LEVEL2_BUDGET_SECONDS = 10.0
-ORACLE_BUDGET_SECONDS = 2.0
+ORACLE_BUDGET_SECONDS = 0.5
 
 
 # --- criterion: each level checks within its budget ---

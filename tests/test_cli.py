@@ -123,6 +123,17 @@ def test_check_json_reports_validate_against_schema(tmp_path, capsys):
     assert statuses == {"idTwo": "accepted", "wrong": "rejected"}
 
 
+@pytest.mark.parametrize("note", ["--@", "--!", "--@ \t"])
+def test_a_blank_note_ends_at_its_line(tmp_path, capsys, note):
+    """A `--@` or `--!` with nothing after it has empty text; the
+    declaration on the next line is checked, not taken as the note."""
+    path = write(tmp_path, "blank-note.hott", f"{note}\ndef a : U1 := U0")
+    code, payload = check_json(["check", path], capsys)
+    assert code == EXIT_OK
+    [report] = payload["reports"]
+    assert [(d["name"], d["status"]) for d in report["declarations"]] == [("a", "accepted")]
+
+
 def test_oracle_json_validates_against_schema(capsys):
     code, payload = check_json(["oracle", "--suite", "enumeration"], capsys)
     assert code == EXIT_OK
@@ -583,6 +594,8 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
         # a printed normal form: Pi, lambdas, J, Id and refl
         (["normalize", prelude, "--name", "transportLoop"], EXIT_OK),
         (["oracle"], EXIT_OK),
+        # the Cayley table's whole rows, 1.7 M cases
+        (["oracle", "--suite", "groupoid-laws", "--bound", "5"], EXIT_OK),
     ]
     [rejected] = report(sys.executable, ["check", str(killers_path)])[1]["reports"]
     assert [d["diagnostic"]["code"] for d in rejected["declarations"]] == [code for _, code in killers]

@@ -89,7 +89,7 @@ def test_all_suites_pass_within_budget():
     ]
     assert [r.suite for r in reports] == list(oracle.SUITES)
     assert all(r.cases > 0 for r in reports)
-    assert elapsed < 2.0
+    assert elapsed < 0.5
 
 
 def test_suite_reports_are_deterministic_modulo_timing():
@@ -119,6 +119,53 @@ def test_report_json_shape():
 def drop_first_factor(p, q):
     """A broken composition: `q` alone."""
     return oracle.FinBij(p.domain, q.codomain, q.mapping)
+
+
+REAL_COMPOSE = oracle.compose
+ROT = (1, 2, 0)  # rot·rot is (2, 0, 1)
+
+
+def wrong_once(p, q):
+    """A broken composition: the identity for rot·rot, right elsewhere."""
+    if p.mapping == q.mapping == ROT:
+        return oracle.FinBij(p.domain, q.codomain, (0, 1, 2))
+    return REAL_COMPOSE(p, q)
+
+
+def collapsing(p, q):
+    """A broken composition: a constant table, built unchecked."""
+    return oracle._composite(p.domain, q.codomain, tuple(q.mapping[0] for _ in p.mapping))
+
+
+def reversed_order(p, q):
+    """`q` then `p`: the opposite groupoid, which satisfies every law the
+    suite checks; `test_composition_is_diagrammatic` tells it apart."""
+    return REAL_COMPOSE(q, p)
+
+
+def _s3(mapping):
+    a = oracle.FinSet(3, "S3")
+    return oracle.FinBij(a, a, mapping)
+
+
+# The triple (rot, swap, rot) of S3, and the two pairs whose products it
+# compares: (rot·swap, rot) and (rot, swap·rot).
+TRIPLE = ((1, 2, 0), (1, 0, 2), (1, 2, 0))
+UNEQUAL_PAIRS = {
+    (REAL_COMPOSE(_s3(TRIPLE[0]), _s3(TRIPLE[1])).mapping, TRIPLE[2]),
+    (TRIPLE[0], REAL_COMPOSE(_s3(TRIPLE[1]), _s3(TRIPLE[2])).mapping),
+}
+
+
+def two_non_permutations(p, q):
+    """A broken composition: on the two `UNEQUAL_PAIRS`, a constant table of
+    p's image of 0, built unchecked. Both sides of the triple are then
+    non-permutations, unequal yet at the same place of one row, and no
+    other place of that row differs: a row check that ignored whether the
+    table is closed would pass the triple."""
+    if (p.mapping, q.mapping) in UNEQUAL_PAIRS:
+        return oracle._composite(p.domain, q.codomain, (p.mapping[0],) * len(p.mapping))
+    return REAL_COMPOSE(p, q)
 
 
 def test_corrupted_composition_is_caught(monkeypatch):
@@ -163,14 +210,6 @@ def test_composition_wrong_for_one_pair_breaks_associativity(monkeypatch):
     """A composition that is wrong only for rot·rot, two non-identity tables
     whose product is not the identity, still returns a permutation: only
     associativity can notice, and it must."""
-    real = oracle.compose
-    rot = (1, 2, 0)  # rot·rot is (2, 0, 1)
-
-    def wrong_once(p, q):
-        if p.mapping == q.mapping == rot:
-            return oracle.FinBij(p.domain, q.codomain, (0, 1, 2))
-        return real(p, q)
-
     monkeypatch.setattr(oracle, "compose", wrong_once)
     report = oracle.check_groupoid_laws(bound=3)
     assert not report.ok
@@ -181,10 +220,6 @@ def test_composition_wrong_for_one_pair_breaks_associativity(monkeypatch):
 def test_composition_returning_a_non_permutation_is_caught(monkeypatch):
     """`compose` builds its result without `FinBij`'s permutation check, so
     a composition that collapses its table must be caught by the laws."""
-
-    def collapsing(p, q):
-        return oracle._composite(p.domain, q.codomain, tuple(q.mapping[0] for _ in p.mapping))
-
     monkeypatch.setattr(oracle, "compose", collapsing)
     report = oracle.check_groupoid_laws(bound=3)
     assert not report.ok
@@ -211,6 +246,86 @@ def test_corrupted_inverse_is_caught(monkeypatch):
     monkeypatch.setattr(oracle, "inverse", lambda p: p)
     report = oracle.check_groupoid_laws(bound=3)
     assert not report.ok
+
+
+# --- the Cayley table against every triple ---
+
+
+def reference_groupoid_laws(bound):
+    """`check_groupoid_laws` as it was before the Cayley table: every
+    associativity triple is composed and compared. It reads
+    `oracle.compose` and `oracle.inverse` at each call, so a patched
+    composition reaches it."""
+    compose, inverse = oracle.compose, oracle.inverse
+    report = oracle.OracleReport("groupoid-laws")
+    for n in range(bound + 1):
+        a = oracle.FinSet(n, f"S{n}")
+        auts = oracle.automorphisms(a, bound)
+        ident = oracle.identity(a)
+        for p in auts:
+            report.record(compose(ident, p) == p, "id·p != p for p={}", p.mapping)
+            report.record(compose(p, ident) == p, "p·id != p for p={}", p.mapping)
+            report.record(compose(p, inverse(p)) == ident, "p·p⁻¹ != id for p={}", p.mapping)
+            report.record(compose(inverse(p), p) == ident, "p⁻¹·p != id for p={}", p.mapping)
+        products = [[compose(p, q) for q in auts] for p in auts]
+        for p, p_then in zip(auts, products):
+            for q, pq, q_then in zip(auts, p_then, products):
+                for r, qr in zip(auts, q_then):
+                    report.record(
+                        compose(pq, r) == compose(p, qr),
+                        "associativity fails at {},{},{}", p.mapping, q.mapping, r.mapping,
+                    )
+    return report
+
+
+# Each variant of `compose`, and whether the suite kills it.
+COMPOSE_VARIANTS = {
+    "real": (REAL_COMPOSE, False),
+    "drop_first_factor": (drop_first_factor, True),
+    "wrong_once": (wrong_once, True),
+    "collapsing": (collapsing, True),
+    "reversed_order": (reversed_order, False),
+    "two_non_permutations": (two_non_permutations, True),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPOSE_VARIANTS))
+def test_cayley_table_agrees_with_every_triple(monkeypatch, name):
+    """Under each variant, the same cases and the same witnesses in the same
+    order as composing every triple, at every bound up to the default."""
+    variant, killed = COMPOSE_VARIANTS[name]
+    monkeypatch.setattr(oracle, "compose", variant)
+    for bound in range(oracle.DEFAULT_BOUND + 1):
+        report = oracle.check_groupoid_laws(bound)
+        reference = reference_groupoid_laws(bound)
+        assert (report.cases, report.counterexamples) == (
+            reference.cases, reference.counterexamples
+        ), bound
+    assert report.ok is not killed
+
+
+def test_two_non_permutations_differ_at_one_place_of_a_row():
+    p, q, r = map(_s3, TRIPLE)
+    left = two_non_permutations(two_non_permutations(p, q), r)
+    right = two_non_permutations(p, two_non_permutations(q, r))
+    assert left != right
+    assert sorted(left.mapping) != [0, 1, 2] and sorted(right.mapping) != [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "bound,cases", [(0, 5), (1, 10), (2, 26), (3, 266), (4, 14_186), (5, 1_742_666)]
+)
+def test_groupoid_law_cases_have_a_closed_form(bound, cases):
+    """Four identity and inverse cases per automorphism and one per triple:
+    a row of the table counts each of its triples once. Bound 5, with
+    its 1.7 M cases, must take less than 2 s."""
+    start = time.perf_counter()
+    report = oracle.check_groupoid_laws(bound)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    closed_form = sum(4 * math.factorial(n) + math.factorial(n) ** 3 for n in range(bound + 1))
+    assert report.cases == cases == closed_form
+    assert elapsed < 2.0
 
 
 # --- bounds and errors ---

@@ -99,8 +99,8 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "generated"
 _REFERENCE_TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
-    | (?P<pragma>--!\s*[^\n]*)
-    | (?P<srcref>--@\s*[^\n]*)
+    | (?P<pragma>--![^\S\n]*[^\n]*)
+    | (?P<srcref>--@[^\S\n]*[^\n]*)
     | (?P<comment>--[^\n]*)
     | (?P<univ>U[0-9]+\b)
     | (?P<num>[0-9]+)
@@ -180,8 +180,8 @@ def test_tokenize_matches_reference_on_fragments(source):
     assert lex_outcome(tokenize, source) == lex_outcome(reference_tokenize, source)
 
 
-# A `--!` or `--@` comment with nothing else on its line takes the next
-# line that has something on it.
+# A `--!` or `--@` comment with nothing else on its line has empty text and
+# ends at its line: the next line is lexed on its own.
 BLANK_NOTES = ["--!\n  requires-ua\n", "--@ \t\n\n tag here\n", "--!  ", "--@\n"]
 
 
