@@ -43,11 +43,11 @@ class Context:
 # The type of each constant; for each literal that only checks, the type
 # former it checks against and the word its diagnostics use for it.
 _CONST_TYPES = {
-    **dict.fromkeys((t.Nat, t.Empty, t.Unit, t.Two), v.VUniv(0)),
-    t.Zero: v.VNat(),
-    t.Star: v.VUnit(),
-    t.Bit0: v.VTwo(),
-    t.Bit1: v.VTwo(),
+    **dict.fromkeys((t.Nat, t.Empty, t.Unit, t.Two), v.univ(0)),
+    t.Zero: v.NAT,
+    t.Star: v.UNIT,
+    t.Bit0: v.TWO,
+    t.Bit1: v.TWO,
 }
 _LITERALS = {t.Lam: (v.VPi, "function"), t.Pair: (v.VSigma, "pair")}
 
@@ -91,14 +91,14 @@ class Checker:
     def _infer_univ(self, ctx: Context, term: t.Univ) -> v.Value:
         if term.level + 1 > (max_level := self.glob.config.max_level):
             self.fail("level-overflow", f"universe U{term.level} exceeds max_level {max_level}")
-        return v.VUniv(term.level + 1)
+        return v.univ(term.level + 1)
 
     def _infer_quantifier(self, ctx: Context, term: t.Pi | t.Sigma) -> v.Value:
         dom, cod = (getattr(term, field) for field in term.__match_args__)
         dom_v, i = self.infer_type(ctx, dom, "domain")
         cod_ctx = ctx.extend("x", dom_v)
         j = self.ensure_universe(cod_ctx, self.infer(cod_ctx, cod), "codomain")
-        return v.VUniv(max(i, j))
+        return v.univ(max(i, j))
 
     def _infer_literal(self, ctx: Context, term: t.Lam | t.Pair) -> v.Value:
         self.fail("cannot-infer", f"unannotated {_LITERALS[term.__class__][1]} in inference position")
@@ -121,7 +121,7 @@ class Checker:
         ty_v, level = self.infer_type(ctx, term.ty, "identity-type carrier")
         self.check(ctx, term.lhs, ty_v)
         self.check(ctx, term.rhs, ty_v)
-        return v.VUniv(level)
+        return v.univ(level)
 
     def _infer_refl(self, ctx: Context, term: t.Refl) -> v.Value:
         arg_ty, arg_v = self.infer(ctx, term.arg), evaluate(ctx.env, term.arg)
@@ -145,21 +145,21 @@ class Checker:
         return v.Closure(ctx.env, term.motive, 1)
 
     def _infer_nat_elim(self, ctx: Context, term: t.NatElim) -> v.Value:
-        motive = self._elim_motive(ctx, term, "n", v.VNat())
-        self.check(ctx, term.base, motive(v.VZero()))
+        motive = self._elim_motive(ctx, term, "n", v.NAT)
+        self.check(ctx, term.base, motive(v.ZERO))
         n = v.fresh(ctx.depth)
-        self.check(ctx.extend("n", v.VNat()).extend("ih", motive(n)), term.step, motive(v.VSuc(n)))
+        self.check(ctx.extend("n", v.NAT).extend("ih", motive(n)), term.step, motive(v.VSuc(n)))
         return motive(evaluate(ctx.env, term.target))
 
     def _infer_two_elim(self, ctx: Context, term: t.TwoElim) -> v.Value:
-        motive = self._elim_motive(ctx, term, "b", v.VTwo())
-        self.check(ctx, term.if0, motive(v.VBit0()))
-        self.check(ctx, term.if1, motive(v.VBit1()))
+        motive = self._elim_motive(ctx, term, "b", v.TWO)
+        self.check(ctx, term.if0, motive(v.BIT0))
+        self.check(ctx, term.if1, motive(v.BIT1))
         return motive(evaluate(ctx.env, term.target))
 
     def _infer_suc(self, ctx: Context, term: t.Suc) -> v.Value:
-        self.check(ctx, term.pred, v.VNat())
-        return v.VNat()
+        self.check(ctx, term.pred, v.NAT)
+        return v.NAT
 
     def _infer_ann(self, ctx: Context, term: t.Ann) -> v.Value:
         ty_v, _ = self.infer_type(ctx, term.ty, "annotation")
@@ -229,7 +229,7 @@ _INFER = {
     t.Suc: Checker._infer_suc,
     t.NatElim: Checker._infer_nat_elim,
     t.TwoElim: Checker._infer_two_elim,
-    t.EmptyElim: lambda self, ctx, term: self._elim_motive(ctx, term, "e", v.VEmpty())(
+    t.EmptyElim: lambda self, ctx, term: self._elim_motive(ctx, term, "e", v.EMPTY)(
         evaluate(ctx.env, term.target)
     ),
     t.Ann: Checker._infer_ann,

@@ -7,9 +7,33 @@ lookup: two values of one class go to their rule in `_SAME`, and of the
 mixed pairs only a lambda (η for Π) or a pair against a neutral (η for Σ)
 can be equal.  `spine_eq` looks up each pair of frames in `_FRAME_EQ`.
 A class missing from a table is a `KernelBug`.
+
+Identity answers first wherever it implies definitional equality, before
+anything is forced, instantiated or recursed into:
+
+- `a is b` ends `conv`, `subtype` and `conv_structural`: a value is
+  immutable (a glued value's unfolding cache is written once, always with
+  the same result), so it equals itself, and subtyping is reflexive.
+  Constants and fresh variables are shared (see `values`), so this also
+  settles two occurrences of `Nat`, `U0` or one bound variable.
+- `spine_eq` skips a pair of identical frames, and two neutrals compare
+  their heads by `is` before `==`, for the same reason.
+- `same_closure(c1, c2)`: one body term, one arity and pairwise identical
+  captured values.  Evaluation is a function of the environment and the
+  body, so both closures give the same value on the same arguments; it
+  settles Π codomains and Σ second components (in `subtype`,
+  `_family_eq`) and eliminator motives and steps (`closure_eq`) without
+  instantiating either side.
+- `whnf` and `_same_glued` run only when a side is glued: on any other
+  value the first is the identity and the second is false.
+
+A failed identity test falls through to the structural comparison, so
+these rules only skip work; they never change an answer.
 """
 
 from __future__ import annotations
+
+from operator import is_
 
 from . import values as v
 from .diagnostics import KernelBug
@@ -19,9 +43,7 @@ from .evaluate import apply, project_fst, project_snd, whnf
 # Two glued values with the same definition at the head are compared by
 # their spines first, which is sound by congruence; only when heads or
 # spines differ are both sides unfolded and compared structurally, which
-# keeps the check complete.  Physical identity implies definitional
-# equality (values are immutable up to a glued value's idempotent
-# unfolding cache), so `a is b` ends a comparison at once.
+# keeps the check complete.
 #
 # Conversion keeps no memo of its answers, for the reason evaluation keeps
 # none (see `evaluate`).
@@ -40,7 +62,8 @@ def conv(depth: int, a: v.Value, b: v.Value, ty: v.Value | None = None, *, eta_s
     """
     if a is b:
         return True
-    ty = whnf(ty)
+    if ty.__class__ is v.VGlued:
+        ty = whnf(ty)
     kind = ty.__class__
     if kind is v.VPi:
         x = v.fresh(depth)
@@ -68,12 +91,14 @@ def _same_glued(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
 def conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
     if a is b:
         return True
-    if _same_glued(depth, a, b, eta_sigma=eta_sigma):
-        return True
-    a, b = whnf(a), whnf(b)
-    if a is b:
-        return True
     kind, other = a.__class__, b.__class__
+    if kind is v.VGlued or other is v.VGlued:
+        if _same_glued(depth, a, b, eta_sigma=eta_sigma):
+            return True
+        a, b = whnf(a), whnf(b)
+        if a is b:
+            return True
+        kind, other = a.__class__, b.__class__
     if kind is other:
         try:
             rule = _SAME[kind]
@@ -103,6 +128,8 @@ def _pair_eq(depth: int, a: v.Value, b: v.Value, eta_sigma: bool) -> bool:
 def _family_eq(depth: int, d1: v.Value, c1: v.Closure, d2: v.Value, c2: v.Closure, eta_sigma: bool) -> bool:
     if not conv_structural(depth, d1, d2, eta_sigma=eta_sigma):
         return False
+    if same_closure(c1, c2):
+        return True
     x = v.fresh(depth)
     return conv_structural(depth + 1, c1(x), c2(x), eta_sigma=eta_sigma)
 
@@ -116,7 +143,7 @@ def _same_constant(depth: int, a, b, eta_sigma: bool) -> bool:
 # Recursive steps call `conv_structural` by its module name, so a wrapper
 # installed there (a test's reference or memo) sees every comparison.
 _SAME = {
-    v.VNeutral: lambda depth, a, b, eta_sigma: a.head == b.head
+    v.VNeutral: lambda depth, a, b, eta_sigma: (a.head is b.head or a.head == b.head)
     and spine_eq(depth, a.spine, b.spine, eta_sigma=eta_sigma),
     v.VLam: _eta_fn,
     v.VPi: lambda depth, a, b, eta_sigma: _family_eq(depth, a.dom, a.cod, b.dom, b.cod, eta_sigma),
@@ -132,7 +159,18 @@ _SAME = {
 }
 
 
+def same_closure(c1: v.Closure, c2: v.Closure) -> bool:
+    """One body, one arity and pairwise identical captured values (a
+    sufficient test of equality)."""
+    if c1.body is not c2.body or c1.arity != c2.arity:
+        return False
+    e1, e2 = c1.env, c2.env
+    return e1 is e2 or len(e1) == len(e2) and all(map(is_, e1, e2))
+
+
 def closure_eq(depth: int, c1: v.Closure, c2: v.Closure, *, eta_sigma: bool) -> bool:
+    if same_closure(c1, c2):
+        return True
     if c1.arity != c2.arity:
         return False
     args = tuple(v.fresh(depth + i) for i in range(c1.arity))
@@ -143,6 +181,8 @@ def spine_eq(depth: int, s1: tuple, s2: tuple, *, eta_sigma: bool) -> bool:
     if len(s1) != len(s2):
         return False
     for f1, f2 in zip(s1, s2):
+        if f1 is f2:
+            continue
         kind = f1.__class__
         if kind is not f2.__class__:
             return False
@@ -179,7 +219,8 @@ def subtype(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool = True) -> bo
         return True
     # Shapes are read from the unfoldings; the fallback below still gets
     # `a` and `b` themselves, so glued types can be compared by spine.
-    wa, wb = whnf(a), whnf(b)
+    wa = whnf(a) if a.__class__ is v.VGlued else a
+    wb = whnf(b) if b.__class__ is v.VGlued else b
     kind = wa.__class__
     if kind is wb.__class__:
         if kind is v.VUniv:
@@ -187,11 +228,15 @@ def subtype(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool = True) -> bo
         if kind is v.VPi:
             if not conv_structural(depth, wa.dom, wb.dom, eta_sigma=eta_sigma):
                 return False
+            if same_closure(wa.cod, wb.cod):
+                return True
             x = v.fresh(depth)
             return subtype(depth + 1, wa.cod(x), wb.cod(x), eta_sigma=eta_sigma)
         if kind is v.VSigma:
             if not subtype(depth, wa.fst_ty, wb.fst_ty, eta_sigma=eta_sigma):
                 return False
+            if same_closure(wa.snd_ty, wb.snd_ty):
+                return True
             x = v.fresh(depth)
             return subtype(depth + 1, wa.snd_ty(x), wb.snd_ty(x), eta_sigma=eta_sigma)
     return conv_structural(depth, a, b, eta_sigma=eta_sigma)

@@ -53,7 +53,7 @@ _EVAL = {
     t.Ref: _eval_ref,
     t.Lam: lambda env, term: v.VLam(v.Closure(env, term.body)),
     t.Pi: lambda env, term: v.VPi(evaluate(env, term.dom), v.Closure(env, term.cod)),
-    t.Univ: lambda env, term: v.VUniv(term.level),
+    t.Univ: lambda env, term: v.univ(term.level),
     t.Sigma: lambda env, term: v.VSigma(evaluate(env, term.fst_ty), v.Closure(env, term.snd_ty)),
     t.Pair: lambda env, term: v.VPair(evaluate(env, term.fst), evaluate(env, term.snd)),
     t.Fst: lambda env, term: project_fst(evaluate(env, term.pair)),
@@ -63,8 +63,8 @@ _EVAL = {
     t.J: lambda env, term: j_elim(
         v.Closure(env, term.motive, 3), v.Closure(env, term.base, 1), evaluate(env, term.path)
     ),
-    t.Nat: lambda env, term: v.VNat(),
-    t.Zero: lambda env, term: v.VZero(),
+    t.Nat: lambda env, term: v.NAT,
+    t.Zero: lambda env, term: v.ZERO,
     t.Suc: lambda env, term: v.VSuc(evaluate(env, term.pred)),
     t.NatElim: lambda env, term: nat_elim(
         v.Closure(env, term.motive, 1),
@@ -72,13 +72,13 @@ _EVAL = {
         v.Closure(env, term.step, 2),
         evaluate(env, term.target),
     ),
-    t.Empty: lambda env, term: v.VEmpty(),
+    t.Empty: lambda env, term: v.EMPTY,
     t.EmptyElim: lambda env, term: empty_elim(v.Closure(env, term.motive, 1), evaluate(env, term.target)),
-    t.Unit: lambda env, term: v.VUnit(),
-    t.Star: lambda env, term: v.VStar(),
-    t.Two: lambda env, term: v.VTwo(),
-    t.Bit0: lambda env, term: v.VBit0(),
-    t.Bit1: lambda env, term: v.VBit1(),
+    t.Unit: lambda env, term: v.UNIT,
+    t.Star: lambda env, term: v.STAR,
+    t.Two: lambda env, term: v.TWO,
+    t.Bit0: lambda env, term: v.BIT0,
+    t.Bit1: lambda env, term: v.BIT1,
     t.TwoElim: lambda env, term: two_elim(
         v.Closure(env, term.motive, 1),
         evaluate(env, term.if0),
@@ -103,7 +103,7 @@ def project_fst(pair: v.Value) -> v.Value:
     if kind is v.VPair:
         return pair.fst
     if kind is v.VNeutral or kind is v.VGlued:
-        return pair.extend(v.FstF())
+        return pair.extend(v.FST)
     raise KernelBug("fst of non-pair value")
 
 
@@ -112,7 +112,7 @@ def project_snd(pair: v.Value) -> v.Value:
     if kind is v.VPair:
         return pair.snd
     if kind is v.VNeutral or kind is v.VGlued:
-        return pair.extend(v.SndF())
+        return pair.extend(v.SND)
     raise KernelBug("snd of non-pair value")
 
 

@@ -9,8 +9,6 @@ a walk of its terms would meet.
 
 from __future__ import annotations
 
-import difflib
-
 from .diagnostics import CheckFailure, Diagnostic
 from .globals import Globals
 from .parser import CONST_TERMS, SElim
@@ -34,6 +32,8 @@ class Resolver:
             ref = check.ref
             entry = entries.get(ref.name)
             if entry is None:
+                import difflib  # only a rejected name pays for the import
+
                 close = difflib.get_close_matches(ref.name, [*check.scope, *entries, *CONST_TERMS], n=1)
                 hint = f" (did you mean {close[0]!r}?)" if close else ""
                 message = f"unbound identifier {ref.name!r}{hint}"

@@ -12,6 +12,14 @@ identity; its one mutable slot, the cached unfolding, is written at most
 once and always with the same result, and nothing writes its other slots
 after construction.
 
+Constants are shared: evaluation and the checker's typing rules return
+the one value of each field-less class (`NAT`, `ZERO`, `TWO`, `BIT0`,
+`BIT1`, `UNIT`, `STAR`, `EMPTY`), the one `FST` and `SND` spine frame,
+and `univ(level)`, which holds one universe per level up to a fixed
+bound.  Conversion's `a is b` test then settles two occurrences of a
+constant without a lookup.  Constructing a class anew still gives an
+equal value, only not an identical one.
+
 A closure needs no `Globals`: each reference in its body is linked to
 the value it evaluates to when its declaration's names are resolved
 (see `resolver`).  A reference can only name an earlier declaration, so
@@ -211,6 +219,19 @@ class VGlued(Value):
 
     def extend(self, frame) -> "VGlued":
         return VGlued(self.name, self.spine + (frame,), self, frame, None)
+
+
+# The shared constants.  Universes U0 .. U9 cover every level that a check
+# under the default `Config` (max_level 8) can reach, and one more; `univ`
+# allocates a higher level anew.
+NAT, ZERO, TWO, BIT0, BIT1 = VNat(), VZero(), VTwo(), VBit0(), VBit1()
+UNIT, STAR, EMPTY = VUnit(), VStar(), VEmpty()
+FST, SND = FstF(), SndF()
+_UNIV = tuple(VUniv(level) for level in range(10))
+
+
+def univ(level: int) -> VUniv:
+    return _UNIV[level] if 0 <= level < len(_UNIV) else VUniv(level)
 
 
 # Fresh variables are shared per level, one object for each binder depth.

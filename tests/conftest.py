@@ -164,4 +164,26 @@ KILLERS = [
     pytest.param("def bad : Nat := refl 0", Config(), "type-mismatch", id="refl-against-non-Id"),
     pytest.param("def bad : Nat := fun x => x", Config(), "type-mismatch", id="lambda-against-non-pi"),
     pytest.param("def bad : Nat := (0, 0)", Config(), "type-mismatch", id="pair-against-non-sigma"),
+    # The step's `ih : motive(k)` against `motive(suc k)`: two closures over
+    # one body whose captured values differ, which `same_closure` must tell
+    # apart (a Π codomain, a Σ component, a Π domain's codomain).
+    pytest.param(
+        "def bad : Nat -> Id Nat 0 0 := natElim (fun n => Nat -> Id Nat n n) (fun x => refl 0) (fun k ih => ih) 0",
+        Config(),
+        "type-mismatch",
+        id="pi-codomain-captures",
+    ),
+    pytest.param(
+        "def bad : Nat * Id Nat 0 0 := natElim (fun n => Nat * Id Nat n n) (0, refl 0) (fun k ih => ih) 0",
+        Config(),
+        "type-mismatch",
+        id="sigma-component-captures",
+    ),
+    pytest.param(
+        "def bad : (Nat -> Id Nat 0 0) -> Nat"
+        " := natElim (fun n => (Nat -> Id Nat n n) -> Nat) (fun f => 0) (fun k ih => ih) 0",
+        Config(),
+        "type-mismatch",
+        id="pi-domain-captures",
+    ),
 ]

@@ -1,7 +1,11 @@
 """Acceptance gate: wall-time budgets for the corpus levels, the oracle
-budget, symbol coverage, the mutation suite (no false accepts), and a
-differential check of lazy definition unfolding in conversion."""
+budget, a ratchet on the kernel's call counts, symbol coverage, the
+mutation suite (no false accepts), and a differential check of lazy
+definition unfolding in conversion."""
 
+import importlib
+import json
+import pathlib
 import time
 
 import pytest
@@ -55,6 +59,41 @@ def test_level2_results_within_budget(corpus_run):
     # the level-2 machinery this route exercises
     for name in ("loopLift2", "loopCell2", "forgetLoops2", "localGlobal1"):
         assert corpus_run.status_of(name) == "accepted"
+
+
+# --- criterion: the kernel does no more work than recorded ---
+
+# Calls of the module attributes that the kernel's recursion goes through,
+# in one check of the whole corpus.  The counts are deterministic and the
+# same under CPython 3.10 to 3.13.  A change that lowers one records the
+# new number here, so the gate ratchets.
+KERNEL_COUNTS = pathlib.Path(__file__).resolve().parent / "data" / "kernel_counts.json"
+KERNEL_COUNT_MARGIN = 0.01
+
+
+def test_kernel_call_counts_do_not_rise(monkeypatch):
+    recorded = json.loads(KERNEL_COUNTS.read_text(encoding="utf-8"))
+    counts = dict.fromkeys(recorded, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in recorded:
+        module, attr = name.split(".")
+        module = importlib.import_module(f"minihott.{module}")
+        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+    assert CorpusRun().all_ok
+    assert all(counts.values()), counts  # each wrapper sits where the recursion goes
+    risen = [
+        f"{name}: {counts[name]} calls, {recorded[name]} recorded"
+        for name in recorded
+        if counts[name] > recorded[name] * (1 + KERNEL_COUNT_MARGIN)
+    ]
+    assert not risen, "; ".join(risen)
 
 
 # --- criterion: oracle exactness and budget ---

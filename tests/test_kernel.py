@@ -3,7 +3,9 @@
 import gc
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import threading
 
@@ -18,7 +20,7 @@ from minihott.checker import Checker, Context
 from minihott.conversion import conv, subtype
 from minihott.corpus.manifest import emit_corpus
 from minihott.evaluate import KernelBug, apply, evaluate, normalize, project_fst, project_snd, quote, whnf
-from minihott.globals import Config, Globals
+from minihott.globals import DEFAULT_MAX_LEVEL, Config, Globals
 from minihott.pipeline import check_files, run_deep
 from minihott.printer import print_term
 
@@ -377,9 +379,14 @@ def test_run_deep_restores_process_state(fails):
 
 # --- no state outlives a command: the kernel keeps no process-global tables ---
 
+# Run in a fresh interpreter, so that no earlier test has filled a table
+# that a check or a normalize would grow.
+PROCESS_STATE_SCRIPT = """
+import contextlib, io, json, sys
+from minihott import cli
 
-def module_containers() -> dict:
-    """`len()` of each module-level dict, list and set of the loaded minihott modules."""
+def module_containers():
+    # `len()` of each module-level dict, list and set of the loaded minihott modules
     return {
         f"{name}.{attr}": len(value)
         for name, module in list(sys.modules.items())
@@ -388,17 +395,28 @@ def module_containers() -> dict:
         if not attr.startswith("__") and isinstance(value, (dict, list, set))
     }
 
+cli._load_kernel()
+before = module_containers()
+path = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["check", path]), cli.main(["normalize", path, "--name", "transportLoopRefl"])]
+after = module_containers()
+grown = sorted(name for name, size in after.items() if size > before.get(name, 0))
+print(json.dumps({"codes": codes, "grown": grown}))
+"""
 
-def test_check_and_normalize_leave_no_process_global_kernel_state(capsys):
-    cli._load_kernel()
-    before = module_containers()
-    path = "corpus/generated/prelude/01-path-algebra.hott"
-    assert cli.main(["check", str(ROOT / path)]) == cli.EXIT_OK
-    assert cli.main(["normalize", str(ROOT / path), "--name", "transportLoopRefl"]) == cli.EXIT_OK
-    after = module_containers()
-    grown = sorted(name for name, size in after.items() if size > before.get(name, 0))
+
+def test_check_and_normalize_leave_no_process_global_kernel_state():
+    path = ROOT / "corpus" / "generated" / "prelude" / "01-path-algebra.hott"
+    done = subprocess.run(
+        [sys.executable, "-c", PROCESS_STATE_SCRIPT, str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [cli.EXIT_OK, cli.EXIT_OK]
     # one shared fresh variable per binder depth, bounded by the deepest binder
-    assert set(grown) <= {"minihott.values._FRESH"}, grown
+    assert set(result["grown"]) <= {"minihott.values._FRESH"}, result["grown"]
 
 
 # --- normal forms: a differential test of evaluation, quotation and printing
@@ -408,24 +426,104 @@ NORMAL_FORM_FILES = 13  # prelude, generic and level 0: the benchmark's normaliz
 NORMAL_FORM_MAX_BYTES = 40_000
 
 
-def test_normal_forms_match_the_recorded_ones():
+def recorded_normal_forms() -> dict:
+    """The recorded forms of at most NORMAL_FORM_MAX_BYTES, by name."""
+    recorded = json.loads((ROOT / "perfbench" / "expected" / "normal_forms.json").read_text(encoding="utf-8"))
+    return {name: form for name, form in recorded.items() if form is not None and form["bytes"] <= NORMAL_FORM_MAX_BYTES}
+
+
+def normal_forms(names) -> dict:
+    """The size and hash of the printed normal form of each of `names`,
+    after checking the benchmark's normalize inputs."""
     manifest = json.loads((ROOT / "corpus" / "generated" / "manifest.json").read_text(encoding="utf-8"))
     paths = [ROOT / "corpus" / "generated" / f["path"] for f in manifest["files"][:NORMAL_FORM_FILES]]
-    recorded = json.loads((ROOT / "perfbench" / "expected" / "normal_forms.json").read_text(encoding="utf-8"))
-    expected = {
-        name: form for name, form in recorded.items() if form is not None and form["bytes"] <= NORMAL_FORM_MAX_BYTES
-    }
 
-    def normal_forms():
+    def work():
         reports, glob = check_files((str(path), path.read_text(encoding="utf-8")) for path in paths)
         assert all(report.ok for report in reports)
         forms = {}
-        for name in expected:
+        for name in names:
             text = print_term(quote(0, glob.lookup(name).value)).encode("utf-8")
             forms[name] = {"bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
         return forms
 
-    assert run_deep(normal_forms) == expected
+    return run_deep(work)
+
+
+def test_normal_forms_match_the_recorded_ones():
+    expected = recorded_normal_forms()
+    assert normal_forms(expected) == expected
+
+
+# --- identity shortcuts: shared constants and same-closure equality ---
+
+
+def test_constants_are_shared():
+    assert evaluate((), t.Nat()) is evaluate((), t.Nat())
+    for term, value in (
+        (t.Nat(), v.NAT), (t.Zero(), v.ZERO), (t.Two(), v.TWO), (t.Bit0(), v.BIT0), (t.Bit1(), v.BIT1),
+        (t.Unit(), v.UNIT), (t.Star(), v.STAR), (t.Empty(), v.EMPTY), (t.Univ(0), v.univ(0)),
+    ):
+        assert evaluate((), term) is value
+    assert Checker(Globals()).infer(Context(), t.Nat()) is v.univ(0)
+    assert Checker(Globals()).infer(Context(), t.Zero()) is v.NAT
+    pair = v.fresh(0)
+    assert project_fst(pair).spine[-1] is v.FST and project_snd(pair).spine[-1] is v.SND
+    # one universe per level a default check reaches, and one more; above
+    # that bound a universe is allocated anew
+    top = DEFAULT_MAX_LEVEL + 1
+    assert evaluate((), t.Univ(top)) is v.univ(top) == v.VUniv(top)
+    assert v.univ(top + 1) is not v.univ(top + 1) and v.univ(top + 1) == v.VUniv(top + 1)
+
+
+def test_closures_with_equal_but_not_identical_captures_are_evaluated(monkeypatch):
+    body = t.Suc(t.Var(1))  # one captured value, one bound
+    c1, c2 = (v.Closure((v.VSuc(v.ZERO),), body) for _ in range(2))
+    assert c1 == c2 and c1.env[0] is not c2.env[0]
+    assert not conversion.same_closure(c1, c2)
+    calls, evaluate_ = [], evaluation.evaluate
+    monkeypatch.setattr(evaluation, "evaluate", lambda env, term: calls.append(term) or evaluate_(env, term))
+    assert conversion.closure_eq(0, c1, c2, eta_sigma=True)
+    assert subtype(0, v.VPi(v.NAT, c1), v.VPi(v.NAT, c2))
+    assert len(calls) > 0
+    # identical captures in another tuple settle both without evaluating
+    c3 = v.Closure((c1.env[0],), body)
+    calls.clear()
+    assert conversion.same_closure(c1, c3)
+    assert conversion.closure_eq(0, c1, c3, eta_sigma=True)
+    assert subtype(0, v.VSigma(v.NAT, c1), v.VSigma(v.NAT, c3))
+    assert calls == []
+
+
+def test_closures_of_different_arities_never_match():
+    env = (v.NAT,)
+    one, two = v.Closure(env, t.Nat(), 1), v.Closure(env, t.Nat(), 2)
+    assert not conversion.same_closure(one, two) and not conversion.same_closure(two, one)
+    assert not conversion.closure_eq(0, one, two, eta_sigma=True)
+
+
+def shortcut_outputs() -> tuple:
+    """The JSON reports, without `ms`, of the whole corpus, synth seed 1
+    and the killer programs, and the recorded normal forms."""
+    run = CorpusRun()
+    reports = [report for _, report in run.files]
+    reports += [check_one(source, config) for source, config, _ in (param.values for param in KILLERS)]
+    reports.append(check_one(synth_program(1)))
+    return [without_ms(report.to_json()) for report in reports], normal_forms(recorded_normal_forms())
+
+
+def test_same_closure_changes_no_output(monkeypatch):
+    with_shortcut = shortcut_outputs()
+    asked = 0
+
+    def never(c1, c2):
+        nonlocal asked
+        asked += 1
+        return False
+
+    monkeypatch.setattr(conversion, "same_closure", never)
+    assert shortcut_outputs() == with_shortcut
+    assert asked > 1000  # the shortcut is reached, and often
 
 
 # --- dispatch tables: every class has a rule, and a stray class is a KernelBug ---
@@ -852,14 +950,21 @@ class MatchChecker(Checker):
 
 
 
+# Its message prints the motive's bound variable with the hint of the
+# natElim rule: `refl suc n checked against Id n n`.
+NAT_ELIM_MOTIVE_HINT = "def bad : Nat := natElim (fun k => Id (Id Nat k k) (refl k) (refl (suc k))) 0 (fun k ih => ih) 0"
+
+
 def test_checking_agrees_with_the_match_based_rules(monkeypatch):
     """The JSON reports, diagnostics included, equal the reference's on the
-    corpus through level 0, synth seed 1, the programs conversion rejects
-    and the killer programs, each under its own `Config`."""
+    corpus through level 0, synth seed 1, the programs conversion rejects,
+    the killer programs and a message naming a motive's variable, each
+    under its own `Config`."""
     programs = [
         *((source, Config(eta_sigma=eta)) for source in REJECTED_BY_CONVERSION for eta in (True, False)),
         *((source, config) for source, config, _ in (param.values for param in KILLERS)),
         (synth_program(1), Config()),
+        (NAT_ELIM_MOTIVE_HINT, Config()),
     ]
 
     def reports() -> list:
@@ -876,3 +981,4 @@ def test_checking_agrees_with_the_match_based_rules(monkeypatch):
     assert {d["code"] for d in diagnostics} == {
         "type-mismatch", "endpoint-mismatch", "not-a-function", "not-a-pair", "not-a-path", "cannot-infer"
     }
+    assert any("refl suc n checked against Id n n" in d["message"] for d in diagnostics)
