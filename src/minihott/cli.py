@@ -110,7 +110,30 @@ def json_text(value) -> str:
     return "".join(pieces)
 
 
+# `print_json` prints this many of `_json_pieces`' pieces at a time.
+PRINT_PIECES = 512
+
+
+def print_json(value) -> None:
+    """`print(json_text(value))`, printed in pieces as the walk makes them,
+    so that a large report is never held as one string."""
+    pieces: list[str] = []
+    append = pieces.append
+
+    def put(piece: str) -> None:
+        append(piece)
+        if len(pieces) == PRINT_PIECES:
+            print("".join(pieces), end="")
+            pieces.clear()
+
+    _json_pieces(value, "\n", put)
+    print("".join(pieces))
+
+
 def _json_pieces(value, indent: str, put) -> None:
+    """Pass the JSON text of `value` to `put`, a piece at a time.  A list
+    item with a `to_json` method, such as a file's `CheckReport`, is
+    converted when the walk reaches it."""
     cls = value.__class__
     if cls is dict and value:
         inner = indent + "  "
@@ -131,6 +154,8 @@ def _json_pieces(value, indent: str, put) -> None:
             _json_pieces(v, inner, put)
             sep = "," + inner
         put(indent + "]")
+    elif hasattr(cls, "to_json"):
+        _json_pieces(value.to_json(), indent, put)
     else:
         put(_json_scalar(value))
 
@@ -168,7 +193,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     config = _config(args)
     reports, _ = run_deep(lambda: check_files(_read_files(args.files), config))
     if args.format == "json":
-        print(json_text({"reports": [r.to_json() for r in reports]}))
+        print_json({"reports": reports})
     else:
         for report in reports:
             for decl in report.declarations:
@@ -217,7 +242,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
     written = manifest.write_corpus(args.out, args.level)
     if args.format == "json":
-        print(json_text({"out": args.out, "written": written}))
+        print_json({"out": args.out, "written": written})
     else:
         for rel in written:
             print(os.path.join(args.out, rel))
@@ -230,7 +255,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     bound = oracle.DEFAULT_BOUND if args.bound is None else args.bound
     reports = oracle.run_suites(args.suite, bound)
     if args.format == "json":
-        print(json_text(oracle.reports_to_json(reports)))
+        print_json(oracle.reports_to_json(reports))
     else:
         for report in reports:
             status = "pass" if report.ok else "FAIL"

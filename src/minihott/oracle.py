@@ -264,12 +264,17 @@ def check_transport_conjugation(bound: int = DEFAULT_BOUND) -> OracleReport:
         x = FinSet(n, f"S{n}")
         auts = automorphisms(x, bound)
         ident = identity(x)
-        for p, q in itertools.product(auts, repeat=2):
-            conj = compose(compose(inverse(q), p), q)
-            report.record(
-                transport_loop(q, p) == conj,
-                "transport != conjugation at p={}, q={}", p.mapping, q.mapping,
-            )
+        tables = [(q, q.mapping, inverse(q).mapping) for q in auts]
+        for p in auts:
+            p_map = p.mapping
+            for q, q_map, q_inv in tables:
+                # The conjugate q⁻¹ · p · q written out, x ↦ q(p(q⁻¹(x))):
+                # not through `compose`, which `transport_loop` uses.
+                conj = _composite(x, x, tuple([q_map[p_map[y]] for y in q_inv]))
+                report.record(
+                    transport_loop(q, p) == conj,
+                    "transport != conjugation at p={}, q={}", p.mapping, q.mapping,
+                )
         for p in auts:
             report.record(
                 transport_loop(ident, p) == p, "transport along refl moves p={}", p.mapping

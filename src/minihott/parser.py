@@ -78,8 +78,9 @@ KEYWORDS = DECL_KEYWORDS | {"fun"} | set(ELIMS) | set(CONST_TERMS)
 _TOKEN_RE = re.compile(r"(\s*)(:=|->|=>|[():,*]|U[0-9]+\b|[A-Za-z_][A-Za-z0-9_']*|[0-9]+|--[^\n]*|.|\Z)")
 
 # `tokenize` scans this many characters at a time, and on to the end of the
-# line: a token never spans a newline.
-CHUNK = 16384
+# line: a token never spans a newline.  The parser lexes one such chunk
+# whenever its window of tokens needs more.
+CHUNK = 4096
 
 # A token: (kind, text, start, end). The kind is "ident", "kw", "univ",
 # "num", "pragma", "srcref", the punctuation itself, or "eof".
@@ -91,18 +92,26 @@ _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 _NOTES = {"!": "pragma", "@": "srcref"}
 
 
-def tokenize(source: str) -> list[Token]:
-    """The tokens of `source`, the last one `eof`; a character that starts
-    no token is a lex error."""
+def chunk_end(source: str, pos: int) -> int:
+    """Where the chunk of `source` that starts at `pos` ends: after the
+    first newline at least `CHUNK` characters on, or at the end."""
+    return source.find("\n", pos + CHUNK) + 1 or len(source)
+
+
+def tokenize(source: str, pos: int = 0, stop: int | None = None) -> list[Token]:
+    """The tokens of `source[pos:stop]`, by default all of `source`, the
+    last one `eof` if `stop` is its end; a character that starts no token
+    is a lex error.  `pos` and `stop` are each an end of `source` or just
+    after a newline."""
     tokens: list[Token] = []
     append = tokens.append
     kinds = _KINDS.get
     findall = _TOKEN_RE.findall
     size = len(source)
-    pos = 0
+    if stop is None:
+        stop = size
     while True:
-        stop = source.find("\n", pos + CHUNK) + 1 or size
-        for space, text in findall(source, pos, stop):
+        for space, text in findall(source, pos, min(chunk_end(source, pos), stop)):
             start = pos + len(space)
             pos = start + len(text)
             kind = kinds(text)
@@ -122,8 +131,9 @@ def tokenize(source: str) -> list[Token]:
                         Diagnostic("lex", f"unexpected character {text!r}", Span(start, start))
                     )
             elif not kind:  # the end of the chunk
-                if pos == size:
-                    append(("eof", "", size, size))
+                if pos == stop:
+                    if pos == size:
+                        append(("eof", "", size, size))
                     return tokens
                 continue
             append((kind, text, start, pos))
@@ -135,7 +145,7 @@ class SVar:
     `Ref`: checked and linked when its declaration is."""
 
     ref: t.Ref
-    span: Span
+    start: int  # where the name starts in the source
     scope: tuple[str, ...]  # the local names in scope, for the did-you-mean hint
 
 
@@ -162,14 +172,59 @@ class Module:
 
 
 class Parser:
+    """Parses a source, lexing it a chunk at a time (`tokenize`) into a
+    window of tokens: the current declaration's, on to the keyword that
+    starts the next one or `eof`.  Tokens already parsed are dropped at a
+    declaration's keyword, when the window needs more."""
+
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
-        self.pos = 0  # never passes `eof`, the last token
+        self.source = source
+        self.lexed: int | None = 0  # where the next chunk starts; None once `eof` is lexed
+        self.tokens: list[Token] = []  # the window
+        self.bound = -1  # the index in the window of its last declaration keyword or `eof`
+        self.pos = 0  # never passes `bound`
         self.scope: tuple[str, ...] = ()  # bound names, innermost first
         self.pending: list[SVar | SElim] = []  # the current declaration's pending checks
         self.end = 0  # where the span of the term parsed last ends
 
     # -- token helpers -------------------------------------------------
+
+    def lex_chunk(self) -> None:
+        """Lex the next chunk into the window; `tokenize` is read from the
+        module, where a tracer may have wrapped it, at every call."""
+        source, start = self.source, self.lexed
+        stop = chunk_end(source, start)
+        tokens = self.tokens
+        first = len(tokens)
+        tokens += tokenize(source, start, stop)
+        self.lexed = None if stop == len(source) else stop
+        for i in range(len(tokens) - 1, first - 1, -1):
+            kind, text, _, _ = tokens[i]
+            if kind == "eof" or (kind == "kw" and text in DECL_KEYWORDS):
+                self.bound = i
+                return
+
+    def fill(self) -> None:
+        """Drop the tokens before `pos` and lex until the window holds a
+        declaration keyword or `eof` after it."""
+        pos = self.pos
+        del self.tokens[:pos]
+        self.bound -= pos
+        self.pos = 0
+        while self.bound <= 0 and self.lexed is not None:
+            self.lex_chunk()
+
+    def lookahead(self, scan, i: int):
+        """`scan(i)`, lexing the rest of the source into the window if the
+        scan runs past it.  The parser itself never reads past `bound`;
+        a lookahead scan does so only on a declaration that fails to
+        parse, which lexes the rest of the source in any case."""
+        try:
+            return scan(i)
+        except IndexError:
+            while self.lexed is not None:
+                self.lex_chunk()
+            return scan(i)
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.tokens[self.pos]
@@ -185,8 +240,22 @@ class Parser:
     # -- modules and declarations --------------------------------------
 
     def parse_module(self) -> Module:
+        """The parsed source.  A parse error, or any other, is raised only
+        once the rest of the source is lexed, so that a lex error anywhere
+        in it is reported first.  A lex error leaves `lexed` at the start
+        of its chunk, so that chunk raises it again here."""
+        try:
+            return self.parse_decls()
+        except Exception:
+            while self.lexed is not None:  # the tokens are not kept
+                self.tokens.clear()
+                self.lex_chunk()
+            raise
+
+    def parse_decls(self) -> Module:
         module = Module()
         source_ref = ""
+        self.fill()
         tokens = self.tokens
         while True:
             tok = tokens[self.pos]
@@ -200,6 +269,8 @@ class Parser:
                     self.pos += 1
                     source_ref = tok[1]
                 case "kw" if tok[1] in DECL_KEYWORDS:
+                    if self.bound == self.pos:
+                        self.fill()
                     self.parse_decl(module, source_ref)
                     source_ref = ""
                 case _:
@@ -270,7 +341,7 @@ class Parser:
                 if text in scope:
                     return t.Var(scope.index(text))
                 ref = t.Ref(text)
-                self.pending.append(SVar(ref, Span(start, end), scope))
+                self.pending.append(SVar(ref, start, scope))
                 return ref
             case "univ":
                 self.pos += 1
@@ -313,7 +384,8 @@ class Parser:
         for _ in range(count):
             if body.__class__ is not t.Lam:
                 # Resolution reports this before anything inside the argument.
-                self.pending.insert(mark, SElim(what, count, Span(self.span_start(first), self.end)))
+                start = self.lookahead(self.span_start, first)
+                self.pending.insert(mark, SElim(what, count, Span(start, self.end)))
                 return term
             body = body.body
         return body
@@ -333,7 +405,7 @@ class Parser:
 
     def parse_parenthesized(self) -> t.Term:
         # A telescope's first group starts `(x`: most parentheses fail that test here.
-        if self.tokens[self.pos + 1][0] == "ident" and self.telescope_arrow(self.pos) is not None:
+        if self.tokens[self.pos + 1][0] == "ident" and self.lookahead(self.telescope_arrow, self.pos) is not None:
             return self.parse_telescope()
         self.pos += 1
         term = self.parse_term()

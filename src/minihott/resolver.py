@@ -9,7 +9,7 @@ a walk of its terms would meet.
 
 from __future__ import annotations
 
-from .diagnostics import CheckFailure, Diagnostic
+from .diagnostics import CheckFailure, Diagnostic, Span
 from .globals import Globals
 from .parser import CONST_TERMS, SElim
 from .terms import Linked
@@ -37,5 +37,6 @@ class Resolver:
                 close = difflib.get_close_matches(ref.name, [*check.scope, *entries, *CONST_TERMS], n=1)
                 hint = f" (did you mean {close[0]!r}?)" if close else ""
                 message = f"unbound identifier {ref.name!r}{hint}"
-                raise CheckFailure(Diagnostic("resolve", message, check.span))
+                span = Span(check.start, check.start + len(ref.name))
+                raise CheckFailure(Diagnostic("resolve", message, span))
             link(ref, entry.ref)

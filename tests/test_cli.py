@@ -199,6 +199,48 @@ def test_reports_are_written_as_json_dumps_writes_them(tmp_path, capsys):
         assert out == json.dumps(json.loads(out), ensure_ascii=False, indent=2) + "\n", args[0]
 
 
+class Recorder:
+    """A stand-in for `sys.stdout` that keeps each write."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        if text:
+            self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_check_prints_its_json_report_in_pieces(monkeypatch, tmp_path):
+    """The report is written as the walk makes it, at most
+    `cli.PRINT_PIECES` lines at a time, and each file's report is
+    converted only when the walk reaches it."""
+    from minihott import cli
+    from minihott.pipeline import CheckReport
+
+    synth = write(tmp_path, "synth-1.hott", synth_program(1))
+    recorder = Recorder()
+    written_at_conversion = []
+    to_json = CheckReport.to_json
+
+    def recording_to_json(report):
+        written_at_conversion.append(sum(map(len, recorder.writes)))
+        return to_json(report)
+
+    monkeypatch.setattr(sys, "stdout", recorder)
+    monkeypatch.setattr(CheckReport, "to_json", recording_to_json)
+    assert main(["--format", "json", "check", *PRELUDE, synth]) == EXIT_REJECTED
+    out = "".join(recorder.writes)
+    assert out == json.dumps(json.loads(out), ensure_ascii=False, indent=2) + "\n"
+    assert len(written_at_conversion) == len(PRELUDE) + 1
+    assert written_at_conversion == sorted(written_at_conversion) and written_at_conversion[-1] > 0
+    assert max(text.count("\n") for text in recorder.writes) <= cli.PRINT_PIECES
+    assert len(recorder.writes) > out.count("\n") // cli.PRINT_PIECES
+
+
 # --- oracle command ---
 
 

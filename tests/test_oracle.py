@@ -248,6 +248,22 @@ def test_corrupted_inverse_is_caught(monkeypatch):
     assert not report.ok
 
 
+def test_transport_conjugating_the_wrong_way_is_caught(monkeypatch):
+    """Transport as q · p · q⁻¹ is still a loop, and equals q⁻¹ · p · q
+    whenever q is its own inverse, as every loop of a set of at most two
+    elements is: only the written-out conjugate on three or more notices."""
+    def backwards(q, p):
+        return oracle.compose(oracle.compose(q, p), oracle.inverse(q))
+
+    assert oracle.check_transport_conjugation().ok
+    monkeypatch.setattr(oracle, "transport_loop", backwards)
+    report = oracle.check_transport_conjugation()
+    assert not report.ok and report.cases == 686
+    assert report.counterexamples[0] == "transport != conjugation at p=(0, 2, 1), q=(1, 2, 0)"
+    assert all(c.startswith("transport != conjugation at ") for c in report.counterexamples)
+    assert oracle.check_transport_conjugation(bound=2).ok
+
+
 # --- the Cayley table against every triple ---
 
 

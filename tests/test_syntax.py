@@ -209,6 +209,114 @@ def test_tokenize_matches_reference_across_chunk_edges(monkeypatch, chunk):
         assert lex_outcome(tokenize, source) == lex_outcome(reference_tokenize, source), source[:80]
 
 
+# --- parsing on demand: differential test against the whole token list ---
+
+
+def whole_list_parse(source: str) -> parser.Module:
+    """The parser run on all of the source's tokens at once, as before it
+    lexed on demand: nothing is lexed or dropped while it parses, and a
+    lex error anywhere is raised before parsing starts."""
+    tokens = reference_tokenize(source)
+    p = parser.Parser(source)
+    p.tokens, p.bound, p.lexed = tokens, len(tokens) - 1, None
+    return p.parse_module()
+
+
+def parse_outcome(parse, source: str):
+    try:
+        module = parse(source)
+    except CheckFailure as exc:
+        return exc.diagnostic
+    return module.decls, module.pending, module.pragmas
+
+
+# Declarations after an unbalanced telescope: its lookahead runs past the
+# token window.  A parse error in the first declaration and a lex error in
+# the last, chunks apart: the lex error is the one reported.
+FURTHER_DECLS = "".join(f"--@ tag{i}\ndef d{i} : Nat -> Nat := fun n => suc n\n" for i in range(400))
+UNBALANCED = [
+    "def a : (x : U0 -> x\n" + FURTHER_DECLS,
+    "def a : (x : (U0) -> x\n" + FURTHER_DECLS + "axiom b : (y : Nat\n",
+    "def a : Nat := natElim (x : U0) (y : Nat\n" + FURTHER_DECLS,
+    "def a : Nat := natElim (x : U0) (y : Nat) 0\n" + FURTHER_DECLS,
+]
+PARSE_THEN_LEX_ERROR = "def a : Nat := )\n" + FURTHER_DECLS + "def z : Nat := $\n"
+
+
+def truncations() -> list[str]:
+    """Every prefix of a few corpus declarations, alone and followed by
+    further declarations."""
+    source = (CORPUS / "prelude" / "01-path-algebra.hott").read_text()
+    decls = ["def " + d for d in source.split("\ndef ")[1:4]]
+    return [d[:i] + rest for d in decls for i in range(len(d) + 1) for rest in ("", FURTHER_DECLS[:200])]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, parser.CHUNK])
+def test_parse_matches_the_whole_token_list_across_chunk_edges(monkeypatch, chunk):
+    monkeypatch.setattr(parser, "CHUNK", chunk)
+    sources = [*chunk_edge_sources(), *LEX_FRAGMENTS, *UNBALANCED, PARSE_THEN_LEX_ERROR, *truncations()]
+    for source in sources:
+        assert parse_outcome(parse_module, source) == parse_outcome(whole_list_parse, source), source[:80]
+
+
+def test_a_lex_error_after_a_parse_error_is_the_one_reported():
+    outcome = parse_outcome(parse_module, PARSE_THEN_LEX_ERROR)
+    at = PARSE_THEN_LEX_ERROR.index("$")
+    assert outcome == Diagnostic("lex", "unexpected character '$'", Span(at, at))
+    assert len(PARSE_THEN_LEX_ERROR) > 2 * parser.CHUNK
+    assert parse_outcome(parse_module, PARSE_THEN_LEX_ERROR.replace("$", "0")).code == "parse"
+
+
+@pytest.mark.parametrize("chunk", [7, parser.CHUNK])
+def test_the_parser_lexes_each_token_once_through_the_module(monkeypatch, chunk):
+    """`perfbench/traced_cli.py` wraps `parser.tokenize` and counts the
+    tokens it returns: a parse must return each token once through it."""
+    monkeypatch.setattr(parser, "CHUNK", chunk)
+    for source in [*(path.read_text() for path in sorted(CORPUS.rglob("*.hott"))), synth_program(1)]:
+        lengths = []
+        lex = parser.tokenize
+
+        def traced(*args, **kwargs):
+            tokens = lex(*args, **kwargs)
+            lengths.append(len(tokens))
+            return tokens
+
+        monkeypatch.setattr(parser, "tokenize", traced)
+        parse_module(source)
+        monkeypatch.setattr(parser, "tokenize", lex)
+        assert sum(lengths) == len(tokenize(source))
+        assert len(lengths) > 1 or len(source) < chunk
+
+
+class WindowWatch(parser.Parser):
+    """A parser that records the size of its token window and of each
+    chunk it lexes."""
+
+    def __init__(self, source: str):
+        super().__init__(source)
+        self.peak = 0
+        self.chunks: list[int] = []
+
+    def lex_chunk(self) -> None:
+        before = len(self.tokens)
+        super().lex_chunk()
+        self.chunks.append(len(self.tokens) - before)
+        self.peak = max(self.peak, len(self.tokens))
+
+
+@pytest.mark.parametrize("chunk", [64, parser.CHUNK])
+def test_the_token_window_holds_one_declaration_and_one_chunk(monkeypatch, chunk):
+    monkeypatch.setattr(parser, "CHUNK", chunk)
+    source = synth_program(1)
+    tokens = tokenize(source)
+    starts = [i for i, tok in enumerate(tokens) if tok[0] == "kw" and tok[1] in parser.DECL_KEYWORDS]
+    largest = max(b - a for a, b in zip(starts, starts[1:] + [len(tokens)]))
+    watch = WindowWatch(source)
+    assert len(watch.parse_module().decls) == len(starts) == 3000
+    assert watch.peak <= largest + max(watch.chunks)
+    assert watch.peak < len(tokens) // 20
+
+
 # --- printing: round trip ---
 
 
