@@ -217,8 +217,9 @@ class Parser:
     def lookahead(self, scan, i: int):
         """`scan(i)`, lexing the rest of the source into the window if the
         scan runs past it.  The parser itself never reads past `bound`;
-        a lookahead scan does so only on a declaration that fails to
-        parse, which lexes the rest of the source in any case."""
+        a lookahead scan does so only past an unmatched `(`, in a
+        declaration that then fails to parse, which lexes the rest of the
+        source in any case."""
         try:
             return scan(i)
         except IndexError:
