@@ -184,15 +184,15 @@ class Checker:
         if (ty := whnf(expected)).__class__ is not v.VId:
             return self._check_inferred(ctx, term, expected)
         self.check(ctx, term.arg, ty.ty)
-        arg_v, eta_sigma = evaluate(ctx.env, term.arg), self.glob.config.eta_sigma
-        if not all(conv(ctx.depth, arg_v, end, ty.ty, eta_sigma=eta_sigma) for end in (ty.lhs, ty.rhs)):
+        arg_v = evaluate(ctx.env, term.arg)
+        if not all(conv(ctx.depth, arg_v, end, ty.ty) for end in (ty.lhs, ty.rhs)):
             arg, lhs, rhs = (self.show(ctx, value) for value in (arg_v, ty.lhs, ty.rhs))
             message = f"refl {arg} checked against Id {lhs} {rhs}"
             self.fail("endpoint-mismatch", f"refl endpoints do not match: {message}")
 
     def _check_inferred(self, ctx: Context, term: t.Term, expected: v.Value) -> None:
         actual = self.infer(ctx, term)
-        if not subtype(ctx.depth, actual, expected, eta_sigma=self.glob.config.eta_sigma):
+        if not subtype(ctx.depth, actual, expected):
             self.fail("type-mismatch", f"expected {self.show(ctx, expected)}, found {self.show(ctx, actual)}")
 
     # -- declarations --

@@ -8,6 +8,10 @@ mixed pairs only a lambda (η for Π) or a pair against a neutral (η for Σ)
 can be equal.  `spine_eq` looks up each pair of frames in `_FRAME_EQ`.
 A class missing from a table is a `KernelBug`.
 
+η for Σ is the run's setting `eta_sigma`, read at call time by the Σ branch
+of `conv` and the pair-against-neutral rule.  `pipeline.check_files` sets
+it from its `Config` and restores it.
+
 Identity answers first wherever it implies definitional equality, before
 anything is forced, instantiated or recursed into:
 
@@ -50,9 +54,10 @@ from .evaluate import apply, project_fst, project_snd, whnf
 
 _memo: dict = {}  # always empty: no memo is kept; perfbench/traced_cli.py reads its size
 _app_memo: dict = {}  # always empty: no memo is kept; perfbench/traced_cli.py reads its size
+eta_sigma = True
 
 
-def conv(depth: int, a: v.Value, b: v.Value, ty: v.Value | None = None, *, eta_sigma: bool = True) -> bool:
+def conv(depth: int, a: v.Value, b: v.Value, ty: v.Value | None = None) -> bool:
     """Decide definitional equality of `a` and `b`.
 
     When `ty` is given the comparison is type-directed: η for Π always,
@@ -67,33 +72,33 @@ def conv(depth: int, a: v.Value, b: v.Value, ty: v.Value | None = None, *, eta_s
     kind = ty.__class__
     if kind is v.VPi:
         x = v.fresh(depth)
-        return conv(depth + 1, apply(a, x), apply(b, x), ty.cod(x), eta_sigma=eta_sigma)
+        return conv(depth + 1, apply(a, x), apply(b, x), ty.cod(x))
     if kind is v.VSigma and eta_sigma:
         fa = project_fst(a)
-        if not conv(depth, fa, project_fst(b), ty.fst_ty, eta_sigma=eta_sigma):
+        if not conv(depth, fa, project_fst(b), ty.fst_ty):
             return False
-        return conv(depth, project_snd(a), project_snd(b), ty.snd_ty(fa), eta_sigma=eta_sigma)
+        return conv(depth, project_snd(a), project_snd(b), ty.snd_ty(fa))
     if kind is v.VUnit:
         return True
-    return conv_structural(depth, a, b, eta_sigma=eta_sigma)
+    return conv_structural(depth, a, b)
 
 
-def _same_glued(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
+def _same_glued(depth: int, a: v.Value, b: v.Value) -> bool:
     """The same definition under convertible spines (a sufficient test)."""
     return (
         a.__class__ is v.VGlued
         and b.__class__ is v.VGlued
         and a.name == b.name
-        and spine_eq(depth, a.spine, b.spine, eta_sigma=eta_sigma)
+        and spine_eq(depth, a.spine, b.spine)
     )
 
 
-def conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> bool:
+def conv_structural(depth: int, a: v.Value, b: v.Value) -> bool:
     if a is b:
         return True
     kind, other = a.__class__, b.__class__
     if kind is v.VGlued or other is v.VGlued:
-        if _same_glued(depth, a, b, eta_sigma=eta_sigma):
+        if _same_glued(depth, a, b):
             return True
         a, b = whnf(a), whnf(b)
         if a is b:
@@ -104,37 +109,37 @@ def conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> b
             rule = _SAME[kind]
         except KeyError:
             raise KernelBug(f"conversion: unhandled value {a!r}") from None
-        return rule(depth, a, b, eta_sigma)
+        return rule(depth, a, b)
     # untyped η for functions and pairs, against a value of another class
     if kind is v.VLam or other is v.VLam:
-        return _eta_fn(depth, a, b, eta_sigma)
+        return _eta_fn(depth, a, b)
     if eta_sigma and (kind is v.VPair and other is v.VNeutral or kind is v.VNeutral and other is v.VPair):
-        return _pair_eq(depth, a, b, eta_sigma)
+        return _pair_eq(depth, a, b)
     return False
 
 
-def _eta_fn(depth: int, a: v.Value, b: v.Value, eta_sigma: bool) -> bool:
+def _eta_fn(depth: int, a: v.Value, b: v.Value) -> bool:
     x = v.fresh(depth)
-    return conv_structural(depth + 1, apply(a, x), apply(b, x), eta_sigma=eta_sigma)
+    return conv_structural(depth + 1, apply(a, x), apply(b, x))
 
 
-def _pair_eq(depth: int, a: v.Value, b: v.Value, eta_sigma: bool) -> bool:
+def _pair_eq(depth: int, a: v.Value, b: v.Value) -> bool:
     """Components equal: η for Σ when a side is neutral, congruence on two pairs."""
-    return conv_structural(depth, project_fst(a), project_fst(b), eta_sigma=eta_sigma) and conv_structural(
-        depth, project_snd(a), project_snd(b), eta_sigma=eta_sigma
+    return conv_structural(depth, project_fst(a), project_fst(b)) and conv_structural(
+        depth, project_snd(a), project_snd(b)
     )
 
 
-def _family_eq(depth: int, d1: v.Value, c1: v.Closure, d2: v.Value, c2: v.Closure, eta_sigma: bool) -> bool:
-    if not conv_structural(depth, d1, d2, eta_sigma=eta_sigma):
+def _family_eq(depth: int, d1: v.Value, c1: v.Closure, d2: v.Value, c2: v.Closure) -> bool:
+    if not conv_structural(depth, d1, d2):
         return False
     if same_closure(c1, c2):
         return True
     x = v.fresh(depth)
-    return conv_structural(depth + 1, c1(x), c2(x), eta_sigma=eta_sigma)
+    return conv_structural(depth + 1, c1(x), c2(x))
 
 
-def _same_constant(depth: int, a, b, eta_sigma: bool) -> bool:
+def _same_constant(depth: int, a, b) -> bool:
     """Two values, or two spine frames, of a class without fields."""
     return True
 
@@ -143,18 +148,16 @@ def _same_constant(depth: int, a, b, eta_sigma: bool) -> bool:
 # Recursive steps call `conv_structural` by its module name, so a wrapper
 # installed there (a test's reference or memo) sees every comparison.
 _SAME = {
-    v.VNeutral: lambda depth, a, b, eta_sigma: (a.head is b.head or a.head == b.head)
-    and spine_eq(depth, a.spine, b.spine, eta_sigma=eta_sigma),
+    v.VNeutral: lambda depth, a, b: (a.head is b.head or a.head == b.head) and spine_eq(depth, a.spine, b.spine),
     v.VLam: _eta_fn,
-    v.VPi: lambda depth, a, b, eta_sigma: _family_eq(depth, a.dom, a.cod, b.dom, b.cod, eta_sigma),
-    v.VUniv: lambda depth, a, b, eta_sigma: a.level == b.level,
-    v.VSigma: lambda depth, a, b, eta_sigma: _family_eq(depth, a.fst_ty, a.snd_ty, b.fst_ty, b.snd_ty, eta_sigma),
+    v.VPi: lambda depth, a, b: _family_eq(depth, a.dom, a.cod, b.dom, b.cod),
+    v.VUniv: lambda depth, a, b: a.level == b.level,
+    v.VSigma: lambda depth, a, b: _family_eq(depth, a.fst_ty, a.snd_ty, b.fst_ty, b.snd_ty),
     v.VPair: _pair_eq,
-    v.VId: lambda depth, a, b, eta_sigma: conv_structural(depth, a.ty, b.ty, eta_sigma=eta_sigma)
-    and conv_structural(depth, a.lhs, b.lhs, eta_sigma=eta_sigma)
-    and conv_structural(depth, a.rhs, b.rhs, eta_sigma=eta_sigma),
-    v.VRefl: lambda depth, a, b, eta_sigma: conv_structural(depth, a.arg, b.arg, eta_sigma=eta_sigma),
-    v.VSuc: lambda depth, a, b, eta_sigma: conv_structural(depth, a.pred, b.pred, eta_sigma=eta_sigma),
+    v.VId: lambda depth, a, b: conv_structural(depth, a.ty, b.ty)
+    and conv_structural(depth, a.lhs, b.lhs) and conv_structural(depth, a.rhs, b.rhs),
+    v.VRefl: lambda depth, a, b: conv_structural(depth, a.arg, b.arg),
+    v.VSuc: lambda depth, a, b: conv_structural(depth, a.pred, b.pred),
     **dict.fromkeys((v.VNat, v.VZero, v.VEmpty, v.VUnit, v.VStar, v.VTwo, v.VBit0, v.VBit1), _same_constant),
 }
 
@@ -168,16 +171,16 @@ def same_closure(c1: v.Closure, c2: v.Closure) -> bool:
     return e1 is e2 or len(e1) == len(e2) and all(map(is_, e1, e2))
 
 
-def closure_eq(depth: int, c1: v.Closure, c2: v.Closure, *, eta_sigma: bool) -> bool:
+def closure_eq(depth: int, c1: v.Closure, c2: v.Closure) -> bool:
     if same_closure(c1, c2):
         return True
     if c1.arity != c2.arity:
         return False
     args = tuple(v.fresh(depth + i) for i in range(c1.arity))
-    return conv_structural(depth + c1.arity, c1(*args), c2(*args), eta_sigma=eta_sigma)
+    return conv_structural(depth + c1.arity, c1(*args), c2(*args))
 
 
-def spine_eq(depth: int, s1: tuple, s2: tuple, *, eta_sigma: bool) -> bool:
+def spine_eq(depth: int, s1: tuple, s2: tuple) -> bool:
     if len(s1) != len(s2):
         return False
     for f1, f2 in zip(s1, s2):
@@ -190,29 +193,26 @@ def spine_eq(depth: int, s1: tuple, s2: tuple, *, eta_sigma: bool) -> bool:
             rule = _FRAME_EQ[kind]
         except KeyError:
             raise KernelBug("bad spine frame") from None
-        if not rule(depth, f1, f2, eta_sigma):
+        if not rule(depth, f1, f2):
             return False
     return True
 
 
 # Two spine frames of one class.
 _FRAME_EQ = {
-    v.AppF: lambda depth, f1, f2, eta_sigma: conv_structural(depth, f1.arg, f2.arg, eta_sigma=eta_sigma),
+    v.AppF: lambda depth, f1, f2: conv_structural(depth, f1.arg, f2.arg),
     v.FstF: _same_constant,
     v.SndF: _same_constant,
-    v.JF: lambda depth, f1, f2, eta_sigma: closure_eq(depth, f1.motive, f2.motive, eta_sigma=eta_sigma)
-    and closure_eq(depth, f1.base, f2.base, eta_sigma=eta_sigma),
-    v.NatElimF: lambda depth, f1, f2, eta_sigma: closure_eq(depth, f1.motive, f2.motive, eta_sigma=eta_sigma)
-    and conv_structural(depth, f1.base, f2.base, eta_sigma=eta_sigma)
-    and closure_eq(depth, f1.step, f2.step, eta_sigma=eta_sigma),
-    v.TwoElimF: lambda depth, f1, f2, eta_sigma: closure_eq(depth, f1.motive, f2.motive, eta_sigma=eta_sigma)
-    and conv_structural(depth, f1.if0, f2.if0, eta_sigma=eta_sigma)
-    and conv_structural(depth, f1.if1, f2.if1, eta_sigma=eta_sigma),
-    v.EmptyElimF: lambda depth, f1, f2, eta_sigma: closure_eq(depth, f1.motive, f2.motive, eta_sigma=eta_sigma),
+    v.JF: lambda depth, f1, f2: closure_eq(depth, f1.motive, f2.motive) and closure_eq(depth, f1.base, f2.base),
+    v.NatElimF: lambda depth, f1, f2: closure_eq(depth, f1.motive, f2.motive)
+    and conv_structural(depth, f1.base, f2.base) and closure_eq(depth, f1.step, f2.step),
+    v.TwoElimF: lambda depth, f1, f2: closure_eq(depth, f1.motive, f2.motive)
+    and conv_structural(depth, f1.if0, f2.if0) and conv_structural(depth, f1.if1, f2.if1),
+    v.EmptyElimF: lambda depth, f1, f2: closure_eq(depth, f1.motive, f2.motive),
 }
 
 
-def subtype(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool = True) -> bool:
+def subtype(depth: int, a: v.Value, b: v.Value) -> bool:
     """Cumulativity: universe indices may grow; Π codomains and Σ components
     are covariant, Π domains invariant."""
     if a is b:
@@ -226,17 +226,17 @@ def subtype(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool = True) -> bo
         if kind is v.VUniv:
             return wa.level <= wb.level
         if kind is v.VPi:
-            if not conv_structural(depth, wa.dom, wb.dom, eta_sigma=eta_sigma):
+            if not conv_structural(depth, wa.dom, wb.dom):
                 return False
             if same_closure(wa.cod, wb.cod):
                 return True
             x = v.fresh(depth)
-            return subtype(depth + 1, wa.cod(x), wb.cod(x), eta_sigma=eta_sigma)
+            return subtype(depth + 1, wa.cod(x), wb.cod(x))
         if kind is v.VSigma:
-            if not subtype(depth, wa.fst_ty, wb.fst_ty, eta_sigma=eta_sigma):
+            if not subtype(depth, wa.fst_ty, wb.fst_ty):
                 return False
             if same_closure(wa.snd_ty, wb.snd_ty):
                 return True
             x = v.fresh(depth)
-            return subtype(depth + 1, wa.snd_ty(x), wb.snd_ty(x), eta_sigma=eta_sigma)
-    return conv_structural(depth, a, b, eta_sigma=eta_sigma)
+            return subtype(depth + 1, wa.snd_ty(x), wb.snd_ty(x))
+    return conv_structural(depth, a, b)

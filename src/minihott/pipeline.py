@@ -15,6 +15,7 @@ import threading
 import time
 from collections.abc import Iterable
 
+from . import conversion
 from .checker import Checker
 from .diagnostics import CheckFailure, Diagnostic
 from .globals import Config, Globals
@@ -90,9 +91,14 @@ def check_files(
     """Check `(name, source)` pairs in order against one shared global
     environment; return a report per file and the environment.  `sources`
     is read one pair at a time, so a lazily read file is read only once
-    the files before it are checked."""
+    the files before it are checked.  η for Σ (`conversion.eta_sigma`) is
+    set from the config for the run and restored after."""
     glob = Globals(config)
-    return [_check_file(name, source, glob) for name, source in sources], glob
+    outer, conversion.eta_sigma = conversion.eta_sigma, glob.config.eta_sigma
+    try:
+        return [_check_file(name, source, glob) for name, source in sources], glob
+    finally:
+        conversion.eta_sigma = outer
 
 
 def _check_file(file: str, source: str, glob: Globals) -> CheckReport:

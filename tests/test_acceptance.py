@@ -255,10 +255,10 @@ def test_lazy_unfolding_agrees_with_eager_unfolding(monkeypatch):
             alive.append((env, term))
         return evaluated[key]
 
-    def memo_conv_structural(depth, a, b, *, eta_sigma):
-        key = (id(a), id(b), eta_sigma)
+    def memo_conv_structural(depth, a, b):
+        key = (id(a), id(b))
         if key not in compared:
-            compared[key] = conv_structural(depth, a, b, eta_sigma=eta_sigma)
+            compared[key] = conv_structural(depth, a, b)
             alive.append((a, b))
         return compared[key]
 

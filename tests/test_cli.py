@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output formats, generation
 idempotence, and the report-schema contract."""
 
+import contextlib
 import gc
+import io
 import json
 import os
 import pathlib
@@ -14,8 +16,11 @@ from conftest import KILLERS, SCHEMA, synth_program, without_ms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minihott.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, json_text, main
+from minihott import cli, conversion
+from minihott.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main, print_json
+from minihott.diagnostics import CheckFailure
 from minihott.globals import Config
+from minihott.pipeline import check_files
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -88,6 +93,15 @@ def test_exhausted_stack_is_an_internal_error_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: internal error: RecursionError")
     assert done.stderr.count("\n") == 1
+
+
+def test_any_other_exception_is_an_internal_error_without_traceback(tmp_path, monkeypatch, capsys):
+    def fails(fn):
+        raise SystemError("error return without exception set")
+
+    monkeypatch.setattr(cli, "run_deep", fails)
+    assert main(["check", write(tmp_path, "good.hott", GOOD)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: internal error: SystemError: error return without exception set\n"
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -171,16 +185,22 @@ JSON_VALUES = st.recursive(
 )
 
 
+def printed_json(value) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        print_json(value)
+    return out.getvalue()
+
+
 @settings(max_examples=400, deadline=None)
 @given(JSON_VALUES)
 def test_json_writer_writes_what_json_dumps_writes(value):
-    assert json_text(value) == json.dumps(value, ensure_ascii=False, indent=2)
+    assert printed_json(value) == json.dumps(value, ensure_ascii=False, indent=2) + "\n"
 
 
 def test_json_writer_on_nested_empty_and_special_values():
     value = {"a": {}, "b": [], "c": [{}, [[]], {"d": None}], "": [True, False, 0, -1, 1e16, 1.5e-07]}
-    assert json_text(value) == json.dumps(value, ensure_ascii=False, indent=2)
-    assert json_text([float("nan"), float("inf"), -float("inf")]) == "[\n  NaN,\n  Infinity,\n  -Infinity\n]"
+    assert printed_json(value) == json.dumps(value, ensure_ascii=False, indent=2) + "\n"
+    assert printed_json([float("nan"), float("inf"), -float("inf")]) == "[\n  NaN,\n  Infinity,\n  -Infinity\n]\n"
 
 
 def test_reports_are_written_as_json_dumps_writes_them(tmp_path, capsys):
@@ -424,6 +444,20 @@ def test_no_eta_sigma_flag_changes_acceptance(tmp_path):
     path = write(tmp_path, "eta.hott", source)
     assert main(["check", path]) == EXIT_OK
     assert main(["check", "--no-eta-sigma", path]) == EXIT_REJECTED
+    # the flag holds for its own run only
+    assert main(["check", path]) == EXIT_OK
+    assert conversion.eta_sigma is True
+
+
+def test_a_failed_run_restores_eta_sigma(monkeypatch):
+    sources = [("good.hott", GOOD), ("broken.hott", PARSE_ERROR)]
+    with pytest.raises(CheckFailure):
+        check_files(sources, Config(eta_sigma=False))
+    assert conversion.eta_sigma is True
+    # a nested run leaves the outer run's value, not the default
+    monkeypatch.setattr(conversion, "eta_sigma", False)
+    check_files([("good.hott", GOOD)])
+    assert conversion.eta_sigma is False
 
 
 def test_max_level_flag_sets_the_ceiling(tmp_path, monkeypatch, capsys):
@@ -633,6 +667,8 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
         (["check", prelude], EXIT_OK),
         (["check", str(synth_path)], EXIT_REJECTED),
         (["check", str(killers_path)], EXIT_REJECTED),
+        # without η for Σ, one declaration of 02-pair-paths is rejected
+        (["check", "--no-eta-sigma", prelude, prelude.replace("01-path-algebra", "02-pair-paths")], EXIT_REJECTED),
         # a printed normal form: Pi, lambdas, J, Id and refl
         (["normalize", prelude, "--name", "transportLoop"], EXIT_OK),
         (["oracle"], EXIT_OK),

@@ -483,14 +483,14 @@ def test_closures_with_equal_but_not_identical_captures_are_evaluated(monkeypatc
     assert not conversion.same_closure(c1, c2)
     calls, evaluate_ = [], evaluation.evaluate
     monkeypatch.setattr(evaluation, "evaluate", lambda env, term: calls.append(term) or evaluate_(env, term))
-    assert conversion.closure_eq(0, c1, c2, eta_sigma=True)
+    assert conversion.closure_eq(0, c1, c2)
     assert subtype(0, v.VPi(v.NAT, c1), v.VPi(v.NAT, c2))
     assert len(calls) > 0
     # identical captures in another tuple settle both without evaluating
     c3 = v.Closure((c1.env[0],), body)
     calls.clear()
     assert conversion.same_closure(c1, c3)
-    assert conversion.closure_eq(0, c1, c3, eta_sigma=True)
+    assert conversion.closure_eq(0, c1, c3)
     assert subtype(0, v.VSigma(v.NAT, c1), v.VSigma(v.NAT, c3))
     assert calls == []
 
@@ -499,7 +499,7 @@ def test_closures_of_different_arities_never_match():
     env = (v.NAT,)
     one, two = v.Closure(env, t.Nat(), 1), v.Closure(env, t.Nat(), 2)
     assert not conversion.same_closure(one, two) and not conversion.same_closure(two, one)
-    assert not conversion.closure_eq(0, one, two, eta_sigma=True)
+    assert not conversion.closure_eq(0, one, two)
 
 
 def shortcut_outputs() -> tuple:
@@ -572,8 +572,8 @@ def test_a_class_without_a_rule_is_a_kernel_bug():
         lambda: print_term(t.Pi(t.Nat(), StrayTerm())),
         lambda: quote(0, StrayValue()),
         lambda: quote(1, stray_spine),
-        lambda: conversion.conv_structural(0, StrayValue(), StrayValue(), eta_sigma=True),
-        lambda: conversion.conv_structural(1, stray_spine, v.VNeutral(x.head, (StrayFrame(),)), eta_sigma=True),
+        lambda: conversion.conv_structural(0, StrayValue(), StrayValue()),
+        lambda: conversion.conv_structural(1, stray_spine, v.VNeutral(x.head, (StrayFrame(),))),
         lambda: evaluation.whnf(v.VGlued("g", (StrayFrame(),), v.VGlued("g", (), None, None, x), StrayFrame(), None)),
     ):
         with pytest.raises(KernelBug):
@@ -721,16 +721,16 @@ def test_conversion_agrees_with_the_match_based_rules(monkeypatch, eta_sigma):
     answers = []  # (tables, reference) for each outermost call
     nested = False
 
-    def both(depth, a, b, *, eta_sigma):
+    def both(depth, a, b):
         nonlocal nested
         if nested:
-            return table_based(depth, a, b, eta_sigma=eta_sigma)
+            return table_based(depth, a, b)
         nested = True
         try:
-            answer = table_based(depth, a, b, eta_sigma=eta_sigma)
+            answer = table_based(depth, a, b)
         finally:
             nested = False
-        answers.append((answer, conv_structural(depth, a, b, eta_sigma=eta_sigma)))
+        answers.append((answer, conv_structural(depth, a, b, eta_sigma=conversion.eta_sigma)))
         return answer
 
     monkeypatch.setattr(conversion, "conv_structural", both)
@@ -765,9 +765,10 @@ def mixed_class_cases():
 
 @pytest.mark.parametrize("eta_sigma", [True, False])
 @pytest.mark.parametrize("case", sorted(mixed_class_cases()))
-def test_conversion_of_mixed_classes_agrees_with_the_match_based_rules(case, eta_sigma):
+def test_conversion_of_mixed_classes_agrees_with_the_match_based_rules(monkeypatch, case, eta_sigma):
     a, b, depth, with_eta, without_eta = mixed_class_cases()[case]
-    answer = conversion.conv_structural(depth, a, b, eta_sigma=eta_sigma)
+    monkeypatch.setattr(conversion, "eta_sigma", eta_sigma)
+    answer = conversion.conv_structural(depth, a, b)
     assert answer == conv_structural(depth, a, b, eta_sigma=eta_sigma)
     assert answer == (with_eta if eta_sigma else without_eta)
 
@@ -787,7 +788,7 @@ class MatchChecker(Checker):
         return evaluate(ctx.env, term)
 
     def conv(self, ctx: Context, a: v.Value, b: v.Value, ty: v.Value | None = None) -> bool:
-        return conv(ctx.depth, a, b, ty, eta_sigma=self.glob.config.eta_sigma)
+        return conv(ctx.depth, a, b, ty)
 
 
     def infer(self, ctx: Context, term: t.Term) -> v.Value:
@@ -942,7 +943,7 @@ class MatchChecker(Checker):
                 return
             case _:
                 actual = self.infer(ctx, term)
-                if not subtype(ctx.depth, actual, expected, eta_sigma=self.glob.config.eta_sigma):
+                if not subtype(ctx.depth, actual, expected):
                     self.fail(
                         "type-mismatch",
                         f"expected {self.show(ctx, expected)}, found {self.show(ctx, actual)}",
