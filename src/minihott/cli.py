@@ -123,8 +123,9 @@ def _json_pieces(value, indent: str, put) -> None:
     """Pass `json.dumps(value, ensure_ascii=False, indent=2)` to `put` in
     pieces of at most a line, for the JSON values of a report, in about
     half the time of `json.dumps`, which drops its C encoder given `indent`.
-    A list item with a `to_json` method, such as a file's `CheckReport`, is
-    converted when the walk reaches it."""
+    An object with a `to_json_lazy` or `to_json` method, such as a file's
+    `CheckReport` and each of its `DeclReport`s, is converted when the walk
+    reaches it."""
     cls = value.__class__
     if cls is dict and value:
         inner = indent + "  "
@@ -145,6 +146,8 @@ def _json_pieces(value, indent: str, put) -> None:
             _json_pieces(v, inner, put)
             sep = "," + inner
         put(indent + "]")
+    elif hasattr(cls, "to_json_lazy"):
+        _json_pieces(value.to_json_lazy(), indent, put)
     elif hasattr(cls, "to_json"):
         _json_pieces(value.to_json(), indent, put)
     else:

@@ -61,8 +61,11 @@ def emit_corpus(n_max: int = MAX_SUPPORTED_LEVEL) -> list[HottFile]:
     return prelude.emit_prelude() + generic.emit_generic() + levels.emit_levels(n_max)
 
 
-def build_manifest(n_max: int = MAX_SUPPORTED_LEVEL) -> dict:
-    files = emit_corpus(n_max)
+def build_manifest(n_max: int = MAX_SUPPORTED_LEVEL, files: list[HottFile] | None = None) -> dict:
+    """The manifest of the corpus up to level `n_max`, whose files are
+    `files` if they are already emitted."""
+    if files is None:
+        files = emit_corpus(n_max)
     return {
         "max_level": n_max,
         "files": [
@@ -98,7 +101,7 @@ def write_corpus(out_dir: str, n_max: int = MAX_SUPPORTED_LEVEL) -> list[str]:
         _write_if_changed(path, f.render())
         written.append(f.relpath)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_if_changed(manifest_path, json.dumps(build_manifest(n_max), ensure_ascii=False, indent=2) + "\n")
+    _write_if_changed(manifest_path, json.dumps(build_manifest(n_max, files), ensure_ascii=False, indent=2) + "\n")
     written.append("manifest.json")
     return written
 

@@ -30,6 +30,11 @@ list of pending checks for `resolver.Resolver.resolve`: an `SVar` for
 each global occurrence, holding the `Ref` to link, and an `SElim` for
 each eliminator argument with too few binders, in the order in which a
 walk of the declaration's type, then its body, meets them.
+
+The parser lexes the source one chunk at a time (`CHUNK`) and hands on
+the declarations it has parsed, with their pending checks, each time it
+must lex the next chunk, so a caller that checks each batch (`pipeline`)
+alternates parsing and checking per lexed chunk.
 """
 
 from __future__ import annotations
@@ -170,6 +175,11 @@ class Module:
         self.pending: list[list[SVar | SElim]] = []
         self.pragmas: list[str] = []
 
+    def add(self, decls: list[Declaration], pending: list[list[SVar | SElim]]) -> None:
+        """Take a batch of declarations and their pending checks."""
+        self.decls += decls
+        self.pending += pending
+
 
 class Parser:
     """Parses a source, lexing it a chunk at a time (`tokenize`) into a
@@ -240,21 +250,27 @@ class Parser:
 
     # -- modules and declarations --------------------------------------
 
-    def parse_module(self) -> Module:
-        """The parsed source.  A parse error, or any other, is raised only
-        once the rest of the source is lexed, so that a lex error anywhere
-        in it is reported first.  A lex error leaves `lexed` at the start
-        of its chunk, so that chunk raises it again here."""
+    def parse_module(self, emit=None) -> Module:
+        """The parsed source.  The declarations parsed before the parser
+        must lex its next chunk, and those left at `eof`, go as one batch
+        to `emit(decls, pending)`, by default the module's own `add`.  A
+        parse error, or any other (one that `emit` raises, too), is raised
+        only once the rest of the source is lexed, so that a lex error
+        anywhere in it is reported first.  A lex error leaves `lexed` at
+        the start of its chunk, so that chunk raises it again here."""
+        module = Module()
         try:
-            return self.parse_decls()
+            self.parse_decls(module, module.add if emit is None else emit)
         except Exception:
             while self.lexed is not None:  # the tokens are not kept
                 self.tokens.clear()
                 self.lex_chunk()
             raise
+        return module
 
-    def parse_decls(self) -> Module:
-        module = Module()
+    def parse_decls(self, module: Module, emit) -> None:
+        decls: list[Declaration] = []
+        pending: list[list[SVar | SElim]] = []
         source_ref = ""
         self.fill()
         tokens = self.tokens
@@ -262,7 +278,8 @@ class Parser:
             tok = tokens[self.pos]
             match tok[0]:
                 case "eof":
-                    return module
+                    emit(decls, pending)
+                    return
                 case "pragma":
                     self.pos += 1
                     module.pragmas.append(tok[1])
@@ -270,14 +287,17 @@ class Parser:
                     self.pos += 1
                     source_ref = tok[1]
                 case "kw" if tok[1] in DECL_KEYWORDS:
-                    if self.bound == self.pos:
+                    if self.bound == self.pos:  # the window ends here: hand on its declarations
+                        emit(decls, pending)
+                        decls, pending = [], []
                         self.fill()
-                    self.parse_decl(module, source_ref)
+                    decls.append(self.parse_decl(source_ref))
+                    pending.append(self.pending)
                     source_ref = ""
                 case _:
                     self.fail(f"expected a declaration, found {tok[1]!r}", tok)
 
-    def parse_decl(self, module: Module, source_ref: str) -> None:
+    def parse_decl(self, source_ref: str) -> Declaration:
         kw = self.tokens[self.pos]
         self.pos += 1
         name = self.expect("ident", "a declaration name")[1]
@@ -292,8 +312,7 @@ class Parser:
         else:
             self.expect(":=", "':=' introducing the body")
             body = self.parse_term()
-        module.decls.append(Declaration(kw[1], name, ty, body, Span(kw[2], self.end), source_ref))
-        module.pending.append(self.pending)
+        return Declaration(kw[1], name, ty, body, Span(kw[2], self.end), source_ref)
 
     # -- terms ---------------------------------------------------------
 
@@ -521,5 +540,6 @@ class Parser:
         return toks[i][2]
 
 
-def parse_module(source: str) -> Module:
-    return Parser(source).parse_module()
+def parse_module(source: str, emit=None) -> Module:
+    """`Parser(source).parse_module(emit)`: see there."""
+    return Parser(source).parse_module(emit)

@@ -1,6 +1,12 @@
 """End-to-end driving: (name, source) pairs -> parse -> resolve global
 names -> check, one file after another against one growing `Globals`.
 
+Parsing and checking alternate per lexed chunk: each time the parser
+must lex the next chunk of a file, the declarations it has parsed are
+resolved and checked, inside the one `parse_module` call per file, so a
+file's whole parse tree is never held.  A lex or parse error still ends
+the run, after the declarations of the chunks before it are checked.
+
 Resolution and checking are interleaved per declaration so that a
 rejected declaration leaves no binding behind: later declarations that
 mention it fail with an unbound-identifier diagnostic instead of
@@ -17,6 +23,7 @@ from collections.abc import Iterable
 
 from . import conversion
 from .checker import Checker
+from .decls import Declaration
 from .diagnostics import CheckFailure, Diagnostic
 from .globals import Config, Globals
 from .parser import parse_module
@@ -74,9 +81,16 @@ class CheckReport:
         return self.rejected == 0
 
     def to_json(self) -> dict:
+        out = self.to_json_lazy()
+        out["declarations"] = [d.to_json() for d in self.declarations]
+        return out
+
+    def to_json_lazy(self) -> dict:
+        """`to_json()` with the `DeclReport`s themselves as its declarations,
+        for a writer that converts each when it reaches it (`cli.print_json`)."""
         return {
             "file": self.file,
-            "declarations": [d.to_json() for d in self.declarations],
+            "declarations": self.declarations,
             "totals": {
                 "accepted": self.accepted,
                 "rejected": self.rejected,
@@ -102,38 +116,43 @@ def check_files(
 
 
 def _check_file(file: str, source: str, glob: Globals) -> CheckReport:
-    """Parse, resolve and check one file against (and extending) `glob`."""
+    """Parse, resolve and check one file against (and extending) `glob`,
+    each batch of declarations as the parser hands it on."""
     start = time.perf_counter()
-    try:
-        module = parse_module(source)
-    except CheckFailure as exc:
-        raise CheckFailure(exc.diagnostic, file) from None
     report = CheckReport(file)
+    append = report.declarations.append
     checker = Checker(glob)
     resolver = Resolver(glob)
     seen = set(glob.entries)
-    for decl, pending in zip(module.decls, module.pending):
-        decl_start = time.perf_counter()
-        try:
-            if decl.name in seen:
-                raise CheckFailure(Diagnostic("duplicate-name", f"duplicate declaration {decl.name!r}", decl.span))
-            if RESERVED_NAME.match(decl.name):
-                raise CheckFailure(
-                    Diagnostic(
-                        "reserved-name",
-                        f"{decl.name!r} is reserved for printer-invented binders",
-                        decl.span,
+
+    def check(decls: list[Declaration], pending: list[list]) -> None:
+        for decl, checks in zip(decls, pending):
+            decl_start = time.perf_counter()
+            try:
+                if decl.name in seen:
+                    raise CheckFailure(Diagnostic("duplicate-name", f"duplicate declaration {decl.name!r}", decl.span))
+                if RESERVED_NAME.match(decl.name):
+                    raise CheckFailure(
+                        Diagnostic(
+                            "reserved-name",
+                            f"{decl.name!r} is reserved for printer-invented binders",
+                            decl.span,
+                        )
                     )
-                )
-            resolver.resolve(pending)
-            checker.check_declaration(decl)
-        except CheckFailure as exc:
-            status, diagnostic = "rejected", exc.diagnostic
-        else:
-            status, diagnostic = "accepted", None
-            seen.add(decl.name)
-        ms = (time.perf_counter() - decl_start) * 1000
-        report.declarations.append(DeclReport(decl.name, decl.kind, status, ms, decl.source_ref, diagnostic))
+                resolver.resolve(checks)
+                checker.check_declaration(decl)
+            except CheckFailure as exc:
+                status, diagnostic = "rejected", exc.diagnostic
+            else:
+                status, diagnostic = "accepted", None
+                seen.add(decl.name)
+            ms = (time.perf_counter() - decl_start) * 1000
+            append(DeclReport(decl.name, decl.kind, status, ms, decl.source_ref, diagnostic))
+
+    try:
+        parse_module(source, check)
+    except CheckFailure as exc:  # a lex or parse error: checking catches its own
+        raise CheckFailure(exc.diagnostic, file) from None
     report.ms = (time.perf_counter() - start) * 1000
     return report
 

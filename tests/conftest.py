@@ -86,12 +86,13 @@ def core_term(text: str, glob: Globals | None = None) -> Term:
     return module.decls[0].body
 
 
-def synth_program(seed: int) -> str:
-    """The source of the benchmark's `synth` workload for `seed`."""
+def synth_program(seed: int, count: int | None = None) -> str:
+    """The source of the benchmark's `synth` workload for `seed`, with
+    `count` declarations, by default the workload's own number."""
     spec = importlib.util.spec_from_file_location("synth", ROOT / "perfbench" / "synth.py")
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    return synth.program(seed)[0]
+    return synth.program(seed, synth.DECLARATIONS if count is None else count)[0]
 
 
 # Each program is rejected because of the kernel rule its id names: a

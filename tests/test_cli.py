@@ -69,6 +69,47 @@ def test_lex_and_parse_errors_name_the_file(tmp_path, capsys, code, text):
     assert err.count("\n") == 1
 
 
+# A rejected declaration, then chunks of accepted ones, then a parse error.
+CHECKED_THEN_PARSE_ERROR = (
+    "def wrong : Nat := star\n"
+    + "".join(f"def d{i} : Nat -> Nat := fun n => suc n\n" for i in range(400))
+    + "def broken : Nat := )\n"
+)
+
+
+@pytest.mark.parametrize("late", ["", "def z : Nat := $\n"], ids=["parse-error", "lex-error-after"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_error_after_checked_declarations_is_the_only_output(tmp_path, capsys, monkeypatch, late, fmt):
+    """The declarations of the chunks before a parse error are checked
+    before it is raised, yet the run ends with that error alone and exit
+    2; a lex error later in the file is the one reported instead."""
+    from minihott import parser
+    from minihott.checker import Checker
+
+    checked = []
+    check_declaration = Checker.check_declaration
+
+    def recording(self, decl):
+        checked.append(decl.name)
+        return check_declaration(self, decl)
+
+    monkeypatch.setattr(Checker, "check_declaration", recording)
+    source = CHECKED_THEN_PARSE_ERROR + late
+    assert len(source) > 2 * parser.CHUNK
+    path = write(tmp_path, "late.hott", source)
+    assert main(["--format", fmt, "check", path]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    if late:
+        at = source.index("$")
+        assert err == f"error: {path}:{at}-{at}: error [lex] unexpected character '$'\n"
+    else:
+        at = source.index(")")
+        assert err == f"error: {path}:{at}-{at + 1}: error [parse] expected a term, found ')'\n"
+    assert out == ""
+    assert checked[:2] == ["wrong", "d0"]
+    assert "broken" not in checked
+
+
 @pytest.mark.parametrize("command", ["check", "normalize"])
 def test_a_file_that_is_not_utf8_names_itself(tmp_path, capsys, command):
     good = write(tmp_path, "good.hott", GOOD)
@@ -236,27 +277,36 @@ class Recorder:
 
 def test_check_prints_its_json_report_in_pieces(monkeypatch, tmp_path):
     """The report is written as the walk makes it, at most
-    `cli.PRINT_PIECES` lines at a time, and each file's report is
-    converted only when the walk reaches it."""
+    `cli.PRINT_PIECES` lines at a time, and each file's report, and each
+    declaration's, is converted only when the walk reaches it."""
     from minihott import cli
-    from minihott.pipeline import CheckReport
+    from minihott.pipeline import CheckReport, DeclReport
 
     synth = write(tmp_path, "synth-1.hott", synth_program(1))
     recorder = Recorder()
-    written_at_conversion = []
-    to_json = CheckReport.to_json
+    written_at_conversion: dict[type, list[int]] = {CheckReport: [], DeclReport: []}
 
-    def recording_to_json(report):
-        written_at_conversion.append(sum(map(len, recorder.writes)))
-        return to_json(report)
+    def recording(cls, method):
+        convert = getattr(cls, method)
+
+        def recording_convert(report):
+            written_at_conversion[cls].append(sum(map(len, recorder.writes)))
+            return convert(report)
+
+        monkeypatch.setattr(cls, method, recording_convert)
 
     monkeypatch.setattr(sys, "stdout", recorder)
-    monkeypatch.setattr(CheckReport, "to_json", recording_to_json)
+    recording(CheckReport, "to_json_lazy")
+    recording(DeclReport, "to_json")
     assert main(["--format", "json", "check", *PRELUDE, synth]) == EXIT_REJECTED
     out = "".join(recorder.writes)
     assert out == json.dumps(json.loads(out), ensure_ascii=False, indent=2) + "\n"
-    assert len(written_at_conversion) == len(PRELUDE) + 1
-    assert written_at_conversion == sorted(written_at_conversion) and written_at_conversion[-1] > 0
+    files, decls = written_at_conversion[CheckReport], written_at_conversion[DeclReport]
+    assert len(files) == len(PRELUDE) + 1
+    assert len(decls) == sum(len(report["declarations"]) for report in json.loads(out)["reports"])
+    for written in (files, decls):
+        assert written == sorted(written) and written[-1] > 0
+    assert len(set(decls)) > len(files)
     assert max(text.count("\n") for text in recorder.writes) <= cli.PRINT_PIECES
     assert len(recorder.writes) > out.count("\n") // cli.PRINT_PIECES
 
@@ -662,9 +712,13 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
         )
         return done.returncode, without_ms(json.loads(done.stdout))
 
-    prelude = str(ROOT / "corpus" / "generated" / "prelude" / "01-path-algebra.hott")
+    written = ROOT / "corpus" / "generated"
+    prelude = str(written / "prelude" / "01-path-algebra.hott")
+    in_manifest_order = [str(written / f["path"]) for f in json.loads((written / "manifest.json").read_text())["files"]]
     runs = [
         (["check", prelude], EXIT_OK),
+        # the whole corpus, the workload the checker serves
+        (["check", *in_manifest_order], EXIT_OK),
         (["check", str(synth_path)], EXIT_REJECTED),
         (["check", str(killers_path)], EXIT_REJECTED),
         # without η for Σ, one declaration of 02-pair-paths is rejected

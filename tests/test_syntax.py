@@ -2,16 +2,18 @@
 
 import pathlib
 import re
+import tracemalloc
 
 import pytest
-from conftest import core_term, synth_program
+from conftest import core_term, synth_program, without_ms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minihott import parser
+from minihott import parser, pipeline
 from minihott import terms as t
 from minihott.diagnostics import CheckFailure, Diagnostic, Span
 from minihott.parser import KEYWORDS, parse_module, tokenize
+from minihott.pipeline import check_files, run_deep
 from minihott.printer import print_term
 
 
@@ -315,6 +317,70 @@ def test_the_token_window_holds_one_declaration_and_one_chunk(monkeypatch, chunk
     assert len(watch.parse_module().decls) == len(starts) == 3000
     assert watch.peak <= largest + max(watch.chunks)
     assert watch.peak < len(tokens) // 20
+
+
+# --- checking per lexed chunk ---
+
+
+def batches_and_reports(sources: list[tuple[str, str]]) -> tuple[int, list]:
+    """How many batches the parser hands the pipeline, and the JSON
+    reports of checking `sources` in order, `ms` left out."""
+    batches = []
+
+    def counting_parse(source, emit):
+        def counting_emit(decls, pending):
+            batches.append(len(decls))
+            emit(decls, pending)
+
+        return parse_module(source, counting_emit)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "parse_module", counting_parse)
+        reports, _ = run_deep(lambda: check_files(sources))
+    return len(batches), [without_ms(report.to_json()) for report in reports]
+
+
+def test_reports_do_not_depend_on_where_chunks_end(monkeypatch):
+    prelude = CORPUS / "prelude"
+    runs = [
+        [("synth-1.hott", synth_program(1))],
+        [(path.name, path.read_text()) for path in (prelude / "01-path-algebra.hott", prelude / "02-pair-paths.hott")],
+    ]
+    for sources in runs:
+        outcomes = []
+        for chunk in (1, 7, 64, parser.CHUNK):
+            monkeypatch.setattr(parser, "CHUNK", chunk)
+            outcomes.append(batches_and_reports(sources))
+        counts = [count for count, _ in outcomes]
+        assert counts == sorted(counts, reverse=True) and counts[0] > counts[-1], counts
+        for _, reports in outcomes[1:]:
+            assert reports == outcomes[0][1]
+
+
+def held_while_checking(source: str) -> int:
+    """The bytes allocated at the peak of checking `source`, above those
+    still allocated once it is checked: the reports and the global
+    environment stay, the tokens, terms and pending checks that no value
+    needs go."""
+    tracemalloc.start()
+    try:
+        [report], _ = run_deep(lambda: check_files([("synth.hott", source)]))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.declarations) == source.count("\ndef ")
+    return peak - current
+
+
+def test_memory_held_while_checking_does_not_grow_with_the_parse_tree():
+    """Parsing and checking alternate per chunk, so a file's parse tree is
+    never held whole: what checking holds above what it keeps must not
+    grow with the number of declarations (2.14 MB at 3 000 synth
+    declarations, and 1.20 MB at 1 500, when the whole tree was held)."""
+    run_deep(lambda: check_files([("warm-up.hott", synth_program(1, 200))]))
+    held = {n: held_while_checking(synth_program(1, n)) for n in (1500, 3000)}
+    assert held[3000] < 0.6e6, held
+    assert held[3000] <= 1.5 * held[1500] + 0.1e6, held
 
 
 # --- printing: round trip ---
