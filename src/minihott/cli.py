@@ -146,9 +146,9 @@ def _json_pieces(value, indent: str, put) -> None:
             _json_pieces(v, inner, put)
             sep = "," + inner
         put(indent + "]")
-    elif hasattr(cls, "to_json_lazy"):
+    elif hasattr(value, "to_json_lazy"):
         _json_pieces(value.to_json_lazy(), indent, put)
-    elif hasattr(cls, "to_json"):
+    elif hasattr(value, "to_json"):
         _json_pieces(value.to_json(), indent, put)
     else:
         put(_json_scalar(value))

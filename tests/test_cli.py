@@ -69,15 +69,14 @@ def test_lex_and_parse_errors_name_the_file(tmp_path, capsys, code, text):
     assert err.count("\n") == 1
 
 
-# A rejected declaration, then chunks of accepted ones, then a parse error.
-CHECKED_THEN_PARSE_ERROR = (
-    "def wrong : Nat := star\n"
-    + "".join(f"def d{i} : Nat -> Nat := fun n => suc n\n" for i in range(400))
-    + "def broken : Nat := )\n"
-)
+# A rejected declaration, then chunks of accepted ones, then a parse error;
+# and as many chunks more, ending in a lex error.
+CHUNKS_OF_DECLS = "".join(f"def d{i} : Nat -> Nat := fun n => suc n\n" for i in range(400))
+CHECKED_THEN_PARSE_ERROR = "def wrong : Nat := star\n" + CHUNKS_OF_DECLS + "def broken : Nat := )\n"
+LATE_LEX_ERROR = CHUNKS_OF_DECLS.replace("def d", "def e") + "def z : Nat := $\n"
 
 
-@pytest.mark.parametrize("late", ["", "def z : Nat := $\n"], ids=["parse-error", "lex-error-after"])
+@pytest.mark.parametrize("late", ["", LATE_LEX_ERROR], ids=["parse-error", "lex-error-after"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_an_error_after_checked_declarations_is_the_only_output(tmp_path, capsys, monkeypatch, late, fmt):
     """The declarations of the chunks before a parse error are checked
@@ -95,7 +94,7 @@ def test_an_error_after_checked_declarations_is_the_only_output(tmp_path, capsys
 
     monkeypatch.setattr(Checker, "check_declaration", recording)
     source = CHECKED_THEN_PARSE_ERROR + late
-    assert len(source) > 2 * parser.CHUNK
+    assert len(CHUNKS_OF_DECLS) > 2 * parser.CHUNK
     path = write(tmp_path, "late.hott", source)
     assert main(["--format", fmt, "check", path]) == EXIT_USAGE
     out, err = capsys.readouterr()

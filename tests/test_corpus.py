@@ -126,6 +126,19 @@ def test_checked_in_manifest_is_current():
     assert on_disk == build_manifest(2)
 
 
+def test_writing_the_corpus_emits_it_once(tmp_path, monkeypatch):
+    """The manifest is built from the files just written, not from a
+    second emission of the corpus."""
+    from minihott.corpus import manifest
+
+    calls = []
+    emit = manifest.emit_corpus
+    monkeypatch.setattr(manifest, "emit_corpus", lambda n_max: calls.append(n_max) or emit(n_max))
+    manifest.write_corpus(str(tmp_path), 2)
+    assert calls == [2]
+    assert json.loads((tmp_path / "manifest.json").read_text()) == build_manifest(2)
+
+
 def test_emit_corpus_rejects_out_of_range_levels():
     with pytest.raises(ValueError):
         emit_corpus(3)

@@ -322,9 +322,9 @@ def test_the_token_window_holds_one_declaration_and_one_chunk(monkeypatch, chunk
 # --- checking per lexed chunk ---
 
 
-def batches_and_reports(sources: list[tuple[str, str]]) -> tuple[int, list]:
-    """How many batches the parser hands the pipeline, and the JSON
-    reports of checking `sources` in order, `ms` left out."""
+def test_reports_do_not_depend_on_where_chunks_end(monkeypatch):
+    """The parser hands the pipeline one batch of declarations per lexed
+    chunk: where the chunks end must not show in the reports."""
     batches = []
 
     def counting_parse(source, emit):
@@ -334,27 +334,22 @@ def batches_and_reports(sources: list[tuple[str, str]]) -> tuple[int, list]:
 
         return parse_module(source, counting_emit)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pipeline, "parse_module", counting_parse)
-        reports, _ = run_deep(lambda: check_files(sources))
-    return len(batches), [without_ms(report.to_json()) for report in reports]
-
-
-def test_reports_do_not_depend_on_where_chunks_end(monkeypatch):
+    monkeypatch.setattr(pipeline, "parse_module", counting_parse)
     prelude = CORPUS / "prelude"
     runs = [
         [("synth-1.hott", synth_program(1))],
         [(path.name, path.read_text()) for path in (prelude / "01-path-algebra.hott", prelude / "02-pair-paths.hott")],
     ]
     for sources in runs:
-        outcomes = []
+        counts, outcomes = [], []
         for chunk in (1, 7, 64, parser.CHUNK):
             monkeypatch.setattr(parser, "CHUNK", chunk)
-            outcomes.append(batches_and_reports(sources))
-        counts = [count for count, _ in outcomes]
+            batches.clear()
+            reports, _ = run_deep(lambda: check_files(sources))
+            counts.append(len(batches))
+            outcomes.append([without_ms(report.to_json()) for report in reports])
         assert counts == sorted(counts, reverse=True) and counts[0] > counts[-1], counts
-        for _, reports in outcomes[1:]:
-            assert reports == outcomes[0][1]
+        assert all(other == outcomes[0] for other in outcomes[1:])
 
 
 def held_while_checking(source: str) -> int:
