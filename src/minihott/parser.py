@@ -214,13 +214,17 @@ class Parser:
                 self.bound = i
                 return
 
-    def fill(self) -> None:
-        """Drop the tokens before `pos` and lex until the window holds a
-        declaration keyword or `eof` after it."""
+    def drop(self) -> None:
+        """Drop the tokens before `pos`."""
         pos = self.pos
         del self.tokens[:pos]
         self.bound -= pos
         self.pos = 0
+
+    def fill(self) -> None:
+        """Drop the tokens before `pos` and lex until the window holds a
+        declaration keyword or `eof` after it."""
+        self.drop()
         while self.bound <= 0 and self.lexed is not None:
             self.lex_chunk()
 
@@ -278,6 +282,7 @@ class Parser:
             tok = tokens[self.pos]
             match tok[0]:
                 case "eof":
+                    self.drop()
                     emit(decls, pending)
                     return
                 case "pragma":
@@ -287,7 +292,8 @@ class Parser:
                     self.pos += 1
                     source_ref = tok[1]
                 case "kw" if tok[1] in DECL_KEYWORDS:
-                    if self.bound == self.pos:  # the window ends here: hand on its declarations
+                    if self.bound == self.pos:  # the window ends here: hand on what it held
+                        self.drop()
                         emit(decls, pending)
                         decls, pending = [], []
                         self.fill()

@@ -319,6 +319,23 @@ def test_the_token_window_holds_one_declaration_and_one_chunk(monkeypatch, chunk
     assert watch.peak < len(tokens) // 20
 
 
+def test_no_parsed_token_is_held_while_a_batch_is_checked():
+    """The parser drops the tokens it has parsed before it hands on the
+    declarations made of them: the window then holds only the start of
+    the next declaration, as far as it is lexed, or `eof`."""
+    source = synth_program(1)
+    watch = WindowWatch(source)
+    held, parsed = [], []
+
+    def emit(decls, pending):
+        held.append([kind for kind, text, _, _ in watch.tokens if kind == "eof" or text in parser.DECL_KEYWORDS])
+        parsed.extend(decls)
+
+    watch.parse_module(emit)
+    assert len(parsed) == 3000 and len(held) > 1
+    assert held == [["kw"]] * (len(held) - 1) + [["eof"]]
+
+
 # --- checking per lexed chunk ---
 
 
