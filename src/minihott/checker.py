@@ -15,10 +15,10 @@ from . import printer
 from . import terms as t
 from . import values as v
 from .conversion import conv, subtype
-from .decls import Declaration
 from .diagnostics import CheckFailure, Diagnostic, KernelBug, Span
 from .evaluate import evaluate, project_fst, quote, whnf
 from .globals import Globals
+from .parser import Declaration
 from .records import record
 
 
@@ -56,8 +56,8 @@ class Checker:
     def __init__(self, glob: Globals):
         self.glob = glob
 
-    def fail(self, code: str, message: str, span: Span = Span(0, 0)):
-        raise CheckFailure(Diagnostic(code, message, span))
+    def fail(self, code: str, message: str):
+        raise CheckFailure(Diagnostic(code, message, Span(0, 0)))
 
     def show(self, ctx: Context, value: v.Value) -> str:
         return printer.print_term(quote(ctx.depth, value), [hint for hint, _ in ctx.entries])
@@ -201,12 +201,8 @@ class Checker:
         ctx = Context()
         ty_v, _ = self.infer_type(ctx, decl.ty, f"type of {decl.name}")
         if decl.kind == "axiom":
-            if decl.body is not None:
-                self.fail("axiom-with-body", f"axiom {decl.name} must not have a body", decl.span)
             self.glob.add_axiom(decl.name, ty_v)
             return
-        if decl.body is None:
-            self.fail("missing-body", f"{decl.kind} {decl.name} requires a body", decl.span)
         self.check(ctx, decl.body, ty_v)
         if decl.kind == "def":
             self.glob.add_def(decl.name, ty_v, evaluate((), decl.body))

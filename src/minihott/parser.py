@@ -18,9 +18,9 @@ Top level:
 
     decl ::= ("def" | "axiom" | "goal") IDENT ":" term (":=" term)?
 
-Comments start with `--`.  A `--!` comment is a file pragma and a
-`--@` comment attaches a free-text tag to the following declaration;
-the text of either is the rest of its line, and may be empty.
+Comments start with `--`.  A `--!` comment is a file pragma, skipped
+here; a `--@` comment tags the following declaration with free text.
+The text of either is the rest of its line, and may be empty.
 
 The parser keeps the scope of local binders and builds `terms` nodes as
 it goes: `Var(index)` for a bound name and `Ref(name)` for any other.
@@ -31,18 +31,18 @@ each global occurrence, holding the `Ref` to link, and an `SElim` for
 each eliminator argument with too few binders, in the order in which a
 walk of the declaration's type, then its body, meets them.
 
-The parser lexes the source one chunk at a time (`CHUNK`) and hands on
-the declarations it has parsed, with their pending checks, each time it
-must lex the next chunk, so a caller that checks each batch (`pipeline`)
-alternates parsing and checking per lexed chunk.
+The parser picks the chunks (`chunk_end`) and lexes one at a time with
+`tokenize`.  It hands on the declarations it has parsed, with their
+pending checks, each time it must lex the next one, so a caller that
+checks each batch (`pipeline`) alternates parsing and checking per chunk.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
 from . import terms as t
-from .decls import Declaration
 from .diagnostics import CheckFailure, Diagnostic, Span
 from .records import record
 
@@ -82,9 +82,9 @@ KEYWORDS = DECL_KEYWORDS | {"fun"} | set(ELIMS) | set(CONST_TERMS)
 # punctuation, the commonest token, is tried first.
 _TOKEN_RE = re.compile(r"(\s*)(:=|->|=>|[():,*]|U[0-9]+\b|[A-Za-z_][A-Za-z0-9_']*|[0-9]+|--[^\n]*|.|\Z)")
 
-# `tokenize` scans this many characters at a time, and on to the end of the
-# line: a token never spans a newline.  The parser lexes one such chunk
-# whenever its window of tokens needs more.
+# The parser lexes this many characters at a time, and on to the end of the
+# line (`chunk_end`): a token never spans a newline.  It lexes one such
+# chunk whenever its window of tokens needs more.
 CHUNK = 4096
 
 # A token: (kind, text, start, end). The kind is "ident", "kw", "univ",
@@ -111,37 +111,31 @@ def tokenize(source: str, pos: int = 0, stop: int | None = None) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     kinds = _KINDS.get
-    findall = _TOKEN_RE.findall
     size = len(source)
-    if stop is None:
-        stop = size
-    while True:
-        for space, text in findall(source, pos, min(chunk_end(source, pos), stop)):
-            start = pos + len(space)
-            pos = start + len(text)
-            kind = kinds(text)
-            if kind is None:
-                first = text[0]
-                if first in _IDENT_START:
-                    kind = "univ" if first == "U" and text[1:].isdigit() else "ident"
-                elif "0" <= first <= "9":
-                    kind = "num"
-                elif text[:2] == "--":
-                    kind = _NOTES.get(text[2:3])
-                    if kind is None:
-                        continue
-                    text = text[3:].strip()
-                else:
-                    raise CheckFailure(
-                        Diagnostic("lex", f"unexpected character {text!r}", Span(start, start))
-                    )
-            elif not kind:  # the end of the chunk
-                if pos == stop:
-                    if pos == size:
-                        append(("eof", "", size, size))
-                    return tokens
-                continue
-            append((kind, text, start, pos))
+    stop = size if stop is None else stop
+    for space, text in _TOKEN_RE.findall(source, pos, stop):
+        start = pos + len(space)
+        pos = start + len(text)
+        kind = kinds(text)
+        if kind is None:
+            first = text[0]
+            if first in _IDENT_START:
+                kind = "univ" if first == "U" and text[1:].isdigit() else "ident"
+            elif "0" <= first <= "9":
+                kind = "num"
+            elif text[:2] == "--":
+                kind = _NOTES.get(text[2:3])
+                if kind is None:
+                    continue
+                text = text[3:].strip()
+            else:
+                raise CheckFailure(Diagnostic("lex", f"unexpected character {text!r}", Span(start, start)))
+        elif not kind:  # the end of the range
+            break
+        append((kind, text, start, pos))
+    if stop == size:
+        append(("eof", "", size, size))
+    return tokens
 
 
 @record
@@ -164,16 +158,27 @@ class SElim:
     span: Span
 
 
-class Module:
-    """A parsed file, in source order: its declarations, the pending
-    checks of each (see the module docstring) and its `--!` pragmas."""
+@record
+class Declaration:
+    """A top-level declaration in core syntax, as only `Parser.parse_decl` makes one."""
 
-    __slots__ = ("decls", "pending", "pragmas")
+    kind: str  # "def" | "axiom" | "goal"
+    name: str
+    ty: t.Term
+    body: t.Term | None  # absent exactly for axioms
+    span: Span = Span(0, 0)
+    source_ref: str = ""  # free-text lemma tag carried from the surface file
+
+
+class Module:
+    """A parsed file, in source order: its declarations and the pending
+    checks of each (see the module docstring)."""
+
+    __slots__ = ("decls", "pending")
 
     def __init__(self) -> None:
         self.decls: list[Declaration] = []
         self.pending: list[list[SVar | SElim]] = []
-        self.pragmas: list[str] = []
 
     def add(self, decls: list[Declaration], pending: list[list[SVar | SElim]]) -> None:
         """Take a batch of declarations and their pending checks."""
@@ -185,7 +190,11 @@ class Parser:
     """Parses a source, lexing it a chunk at a time (`tokenize`) into a
     window of tokens: the current declaration's, on to the keyword that
     starts the next one or `eof`.  Tokens already parsed are dropped at a
-    declaration's keyword, when the window needs more."""
+    declaration's keyword, when the window needs more.
+
+    No scan reads past `bound`: terms, and so parses, stop at the keyword
+    or `eof` that ends a declaration; `telescope_arrow` does too, as a
+    group open there fails to parse; `span_start` runs over parsed atoms."""
 
     def __init__(self, source: str):
         self.source = source
@@ -222,24 +231,10 @@ class Parser:
         self.pos = 0
 
     def fill(self) -> None:
-        """Drop the tokens before `pos` and lex until the window holds a
-        declaration keyword or `eof` after it."""
-        self.drop()
+        """Lex until the window holds a declaration keyword or `eof` after
+        its first token."""
         while self.bound <= 0 and self.lexed is not None:
             self.lex_chunk()
-
-    def lookahead(self, scan, i: int):
-        """`scan(i)`, lexing the rest of the source into the window if the
-        scan runs past it.  The parser itself never reads past `bound`;
-        a lookahead scan does so only past an unmatched `(`, in a
-        declaration that then fails to parse, which lexes the rest of the
-        source in any case."""
-        try:
-            return scan(i)
-        except IndexError:
-            while self.lexed is not None:
-                self.lex_chunk()
-            return scan(i)
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.tokens[self.pos]
@@ -249,7 +244,7 @@ class Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token) -> None:
+    def fail(self, message: str, tok: Token) -> NoReturn:
         raise CheckFailure(Diagnostic("parse", message, Span(tok[2], tok[3])))
 
     # -- modules and declarations --------------------------------------
@@ -264,7 +259,7 @@ class Parser:
         the start of its chunk, so that chunk raises it again here."""
         module = Module()
         try:
-            self.parse_decls(module, module.add if emit is None else emit)
+            self.parse_decls(module.add if emit is None else emit)
         except Exception:
             while self.lexed is not None:  # the tokens are not kept
                 self.tokens.clear()
@@ -272,7 +267,7 @@ class Parser:
             raise
         return module
 
-    def parse_decls(self, module: Module, emit) -> None:
+    def parse_decls(self, emit) -> None:
         decls: list[Declaration] = []
         pending: list[list[SVar | SElim]] = []
         source_ref = ""
@@ -285,9 +280,8 @@ class Parser:
                     self.drop()
                     emit(decls, pending)
                     return
-                case "pragma":
+                case "pragma":  # what a file needs, for its readers: no check reads it
                     self.pos += 1
-                    module.pragmas.append(tok[1])
                 case "srcref":
                     self.pos += 1
                     source_ref = tok[1]
@@ -398,7 +392,6 @@ class Parser:
                 return self.parse_parenthesized()
             case _:
                 self.fail(f"expected a term, found {text!r}", tok)
-                raise AssertionError  # unreachable
 
     def parse_binder_arg(self, count: int, what: str) -> t.Term:
         """An eliminator argument that binds `count` names: a `fun` of at
@@ -410,7 +403,7 @@ class Parser:
         for _ in range(count):
             if body.__class__ is not t.Lam:
                 # Resolution reports this before anything inside the argument.
-                start = self.lookahead(self.span_start, first)
+                start = self.span_start(first)
                 self.pending.insert(mark, SElim(what, count, Span(start, self.end)))
                 return term
             body = body.body
@@ -431,7 +424,7 @@ class Parser:
 
     def parse_parenthesized(self) -> t.Term:
         # A telescope's first group starts `(x`: most parentheses fail that test here.
-        if self.tokens[self.pos + 1][0] == "ident" and self.lookahead(self.telescope_arrow, self.pos) is not None:
+        if self.tokens[self.pos + 1][0] == "ident" and self.telescope_arrow(self.pos) is not None:
             return self.parse_telescope()
         self.pos += 1
         term = self.parse_term()
@@ -452,7 +445,6 @@ class Parser:
                 return t.Pair(term, snd)
             case _:
                 self.fail(f"expected ')', ':' or ',', found {tok[1]!r}", tok)
-                raise AssertionError  # unreachable
 
     def parse_pair_tail(self) -> t.Term:
         """After a comma: more elements associate to the right."""
@@ -464,7 +456,8 @@ class Parser:
 
     def telescope_arrow(self, i: int) -> str | None:
         """The `->` or `*` that follows the closing paren of the last group,
-        if the tokens from `i` on are binder groups `(x y... : ...`."""
+        if the tokens from `i` on are binder groups `(x y... : ...`; None
+        if a group is still open at a declaration keyword or `eof`."""
         toks = self.tokens
         saw_group = False
         while toks[i][0] == "(" and toks[i + 1][0] == "ident":
@@ -482,7 +475,7 @@ class Parser:
                     if depth == 0:
                         break
                     depth -= 1
-                elif k == "eof":
+                elif k == "eof" or (k == "kw" and toks[j][1] in DECL_KEYWORDS):
                     return None
                 j += 1
             saw_group = True

@@ -6,6 +6,7 @@ must lex the next chunk of a file, the declarations it has parsed are
 resolved and checked, inside the one `parse_module` call per file, so a
 file's whole parse tree is never held.  A lex or parse error still ends
 the run, after the declarations of the chunks before it are checked.
+Only the parser decides where a declaration ends and what it holds.
 
 Resolution and checking are interleaved per declaration so that a
 rejected declaration leaves no binding behind: later declarations that
@@ -23,10 +24,9 @@ from collections.abc import Iterable
 
 from . import conversion
 from .checker import Checker
-from .decls import Declaration
 from .diagnostics import CheckFailure, Diagnostic
 from .globals import Config, Globals
-from .parser import parse_module
+from .parser import Declaration, parse_module
 from .printer import RESERVED_NAME
 from .resolver import Resolver
 

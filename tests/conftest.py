@@ -95,6 +95,17 @@ def synth_program(seed: int, count: int | None = None) -> str:
     return synth.program(seed, synth.DECLARATIONS if count is None else count)[0]
 
 
+# Declarations to follow a broken one, some chunks of them.
+FURTHER_DECLS = "".join(f"--@ tag{i}\ndef d{i} : Nat -> Nat := fun n => suc n\n" for i in range(400))
+# A parse error in the first declaration and a lex error in the last,
+# chunks apart: the lex error is the one reported.
+PARSE_THEN_LEX_ERROR = "def a : Nat := )\n" + FURTHER_DECLS + "def z : Nat := $\n"
+# A declaration with a group left open, a telescope's or an eliminator
+# argument's, and one that follows it with a stray `)` and then `->`.
+UNCLOSED_GROUPS = ["def a : (x : U0 -> x\n", "def a : Nat := natElim (x : U0) (y : Nat\n"]
+STRAY_PAREN = "def b : Nat := zero) -> Nat\n"
+
+
 # Each program is rejected because of the kernel rule its id names: a
 # kernel that leaves that rule out of `checker` or `conversion` gives
 # another verdict.

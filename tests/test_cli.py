@@ -12,7 +12,16 @@ import sys
 
 import jsonschema
 import pytest
-from conftest import KILLERS, SCHEMA, synth_program, without_ms
+from conftest import (
+    FURTHER_DECLS,
+    KILLERS,
+    PARSE_THEN_LEX_ERROR,
+    SCHEMA,
+    STRAY_PAREN,
+    UNCLOSED_GROUPS,
+    synth_program,
+    without_ms,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -704,12 +713,16 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
     killers_path.write_text("\n".join(renamed))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
-    def report(python, args) -> tuple[int, dict]:
+    def output(python, args) -> tuple[int, str, str]:
         done = subprocess.run(
             [str(python), "-m", "minihott", "--format", "json", *args],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        return done.returncode, without_ms(json.loads(done.stdout))
+        return done.returncode, done.stdout, done.stderr
+
+    def report(python, args) -> tuple[int, dict]:
+        code, out, _ = output(python, args)
+        return code, without_ms(json.loads(out))
 
     written = ROOT / "corpus" / "generated"
     prelude = str(written / "prelude" / "01-path-algebra.hott")
@@ -735,6 +748,20 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
         assert expected[0] == code
         for python in interpreters:
             assert report(python, args) == expected, python
+
+    # The front end's error path: exit 2, nothing on stdout, one line on stderr.
+    stray = "error [parse] expected ')', found 'def'"
+    errors = [
+        (PARSE_ERROR, "error [parse] expected a term, found ''"),
+        (PARSE_THEN_LEX_ERROR, "error [lex] unexpected character '$'"),
+        *((unclosed + STRAY_PAREN + FURTHER_DECLS, stray) for unclosed in UNCLOSED_GROUPS),
+    ]
+    for i, (text, message) in enumerate(errors):
+        args = ["check", write(tmp_path, f"error-{i}.hott", text)]
+        expected = output(sys.executable, args)
+        assert expected[:2] == (EXIT_USAGE, "") and expected[2].endswith(f"{message}\n")
+        for python in interpreters:
+            assert output(python, args) == expected, python
 
     def generated(python, out: pathlib.Path) -> dict:
         subprocess.run(

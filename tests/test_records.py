@@ -22,7 +22,7 @@ from minihott.oracle import FinBij, FinSet
 from minihott.parser import Module
 from minihott.pipeline import CheckReport
 
-MODULES = ("terms", "values", "parser", "diagnostics", "decls", "globals", "checker", "oracle")
+MODULES = ("terms", "values", "parser", "diagnostics", "globals", "checker", "oracle")
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "minihott"
 
 

@@ -5,7 +5,15 @@ import re
 import tracemalloc
 
 import pytest
-from conftest import core_term, synth_program, without_ms
+from conftest import (
+    FURTHER_DECLS,
+    PARSE_THEN_LEX_ERROR,
+    STRAY_PAREN,
+    UNCLOSED_GROUPS,
+    core_term,
+    synth_program,
+    without_ms,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,9 +61,9 @@ def test_parse_is_deterministic():
 
 
 def test_pragmas_and_source_refs_are_collected():
-    module = parse_module("--! requires-ua\n--@ some-tag\ndef a : U1 := U0")
-    assert module.pragmas == ["requires-ua"]
-    assert module.decls[0].source_ref == "some-tag"
+    # A pragma is skipped: one between a tag and its declaration leaves the tag attached.
+    for notes in ("--! requires-ua\n--@ some-tag", "--@ some-tag\n--! requires-ua"):
+        assert parse_module(notes + "\ndef a : U1 := U0").decls[0].source_ref == "some-tag"
 
 
 def test_tuple_elements_associate_to_the_right():
@@ -204,11 +212,22 @@ def chunk_edge_sources() -> list[str]:
     ]
 
 
+def chunked_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """`tokenize` called one chunk at a time, as `Parser.lex_chunk` calls it."""
+    tokens, pos = [], 0
+    while True:
+        stop = parser.chunk_end(source, pos)
+        tokens += tokenize(source, pos, stop)
+        if stop == len(source):
+            return tokens
+        pos = stop
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_tokenize_matches_reference_across_chunk_edges(monkeypatch, chunk):
     monkeypatch.setattr(parser, "CHUNK", chunk)
     for source in chunk_edge_sources():
-        assert lex_outcome(tokenize, source) == lex_outcome(reference_tokenize, source), source[:80]
+        assert lex_outcome(chunked_tokenize, source) == lex_outcome(reference_tokenize, source), source[:80]
 
 
 # --- parsing on demand: differential test against the whole token list ---
@@ -229,20 +248,18 @@ def parse_outcome(parse, source: str):
         module = parse(source)
     except CheckFailure as exc:
         return exc.diagnostic
-    return module.decls, module.pending, module.pragmas
+    return module.decls, module.pending
 
 
-# Declarations after an unbalanced telescope: its lookahead runs past the
-# token window.  A parse error in the first declaration and a lex error in
-# the last, chunks apart: the lex error is the one reported.
-FURTHER_DECLS = "".join(f"--@ tag{i}\ndef d{i} : Nat -> Nat := fun n => suc n\n" for i in range(400))
+# Declarations after an unbalanced group, some of them with a stray `)`
+# that a scan for the group's end must not reach.
 UNBALANCED = [
     "def a : (x : U0 -> x\n" + FURTHER_DECLS,
     "def a : (x : (U0) -> x\n" + FURTHER_DECLS + "axiom b : (y : Nat\n",
     "def a : Nat := natElim (x : U0) (y : Nat\n" + FURTHER_DECLS,
     "def a : Nat := natElim (x : U0) (y : Nat) 0\n" + FURTHER_DECLS,
+    *(unclosed + STRAY_PAREN + FURTHER_DECLS for unclosed in UNCLOSED_GROUPS),
 ]
-PARSE_THEN_LEX_ERROR = "def a : Nat := )\n" + FURTHER_DECLS + "def z : Nat := $\n"
 
 
 def truncations() -> list[str]:
@@ -259,6 +276,19 @@ def test_parse_matches_the_whole_token_list_across_chunk_edges(monkeypatch, chun
     sources = [*chunk_edge_sources(), *LEX_FRAGMENTS, *UNBALANCED, PARSE_THEN_LEX_ERROR, *truncations()]
     for source in sources:
         assert parse_outcome(parse_module, source) == parse_outcome(whole_list_parse, source), source[:80]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, parser.CHUNK])
+def test_a_declarations_parse_does_not_depend_on_what_follows_it(monkeypatch, chunk):
+    """A group left open fails its declaration at the keyword of the next
+    one, whether or not a later `)` could close it."""
+    monkeypatch.setattr(parser, "CHUNK", chunk)
+    for unclosed in UNCLOSED_GROUPS:
+        source = unclosed + STRAY_PAREN + FURTHER_DECLS
+        at = len(unclosed)
+        expected = Diagnostic("parse", "expected ')', found 'def'", Span(at, at + 3))
+        assert parse_outcome(parse_module, source) == expected
+        assert parse_outcome(parse_module, unclosed + STRAY_PAREN.replace(")", "") + FURTHER_DECLS) == expected
 
 
 def test_a_lex_error_after_a_parse_error_is_the_one_reported():
