@@ -166,8 +166,8 @@ class Declaration:
     name: str
     ty: t.Term
     body: t.Term | None  # absent exactly for axioms
-    span: Span = Span(0, 0)
-    source_ref: str = ""  # free-text lemma tag carried from the surface file
+    span: Span
+    source_ref: str  # free-text lemma tag carried from the surface file
 
 
 class Module:
