@@ -27,9 +27,11 @@ it goes: `Var(index)` for a bound name and `Ref(name)` for any other.
 Which global names exist is known only when a declaration is checked,
 since a rejected declaration binds nothing, so each declaration keeps a
 list of pending checks for `resolver.Resolver.resolve`: an `SVar` for
-each global occurrence, holding the `Ref` to link, and an `SElim` for
-each eliminator argument with too few binders, in the order in which a
-walk of the declaration's type, then its body, meets them.
+each global occurrence, holding the `Ref` to link, and a ready
+`Diagnostic` for each rejection that the text alone decides: first a
+reserved name, then each eliminator argument with too few binders, in
+the order in which a walk of the declaration's type, then its body,
+meets them.  A syntax error fails the file, worded here alone.
 
 The parser picks the chunks (`chunk_end`) and lexes one at a time with
 `tokenize`.  It hands on the declarations it has parsed, with their
@@ -73,6 +75,7 @@ ELIMS: dict[str, tuple[type, tuple]] = {
 }
 
 DECL_KEYWORDS = {"def", "axiom", "goal"}
+RESERVED_NAME = re.compile(r"^x[0-9]+$")  # the printer's binder names: no declaration may take one
 
 KEYWORDS = DECL_KEYWORDS | {"fun"} | set(ELIMS) | set(CONST_TERMS)
 
@@ -149,16 +152,6 @@ class SVar:
 
 
 @record
-class SElim:
-    """An eliminator argument with fewer binders than it must take:
-    rejected when its declaration is checked."""
-
-    what: str  # e.g. "the J motive"
-    count: int  # the binders it must take
-    span: Span
-
-
-@record
 class Declaration:
     """A top-level declaration in core syntax, as only `Parser.parse_decl` makes one."""
 
@@ -178,9 +171,9 @@ class Module:
 
     def __init__(self) -> None:
         self.decls: list[Declaration] = []
-        self.pending: list[list[SVar | SElim]] = []
+        self.pending: list[list[SVar | Diagnostic]] = []
 
-    def add(self, decls: list[Declaration], pending: list[list[SVar | SElim]]) -> None:
+    def add(self, decls: list[Declaration], pending: list[list[SVar | Diagnostic]]) -> None:
         """Take a batch of declarations and their pending checks."""
         self.decls += decls
         self.pending += pending
@@ -203,7 +196,7 @@ class Parser:
         self.bound = -1  # the index in the window of its last declaration keyword or `eof`
         self.pos = 0  # never passes `bound`
         self.scope: tuple[str, ...] = ()  # bound names, innermost first
-        self.pending: list[SVar | SElim] = []  # the current declaration's pending checks
+        self.pending: list[SVar | Diagnostic] = []  # the current declaration's pending checks
         self.end = 0  # where the span of the term parsed last ends
 
     # -- token helpers -------------------------------------------------
@@ -239,10 +232,14 @@ class Parser:
     def expect(self, kind: str, what: str) -> Token:
         tok = self.tokens[self.pos]
         if tok[0] != kind:
-            text = tok[1]
-            self.fail(f"expected {what}, found {text!r}" if text else f"expected {what}", tok)
+            self.unexpected(what, tok)
         self.pos += 1
         return tok
+
+    def unexpected(self, what: str, tok: Token) -> NoReturn:
+        """Fail at `tok`, naming the text under it (a note as written), or nothing at `eof`."""
+        found = f", found {self.source[tok[2] : tok[3]]!r}" if tok[0] != "eof" else ""
+        self.fail(f"expected {what}{found}", tok)
 
     def fail(self, message: str, tok: Token) -> NoReturn:
         raise CheckFailure(Diagnostic("parse", message, Span(tok[2], tok[3])))
@@ -269,7 +266,7 @@ class Parser:
 
     def parse_decls(self, emit) -> None:
         decls: list[Declaration] = []
-        pending: list[list[SVar | SElim]] = []
+        pending: list[list[SVar | Diagnostic]] = []
         source_ref = ""
         self.fill()
         tokens = self.tokens
@@ -295,7 +292,7 @@ class Parser:
                     pending.append(self.pending)
                     source_ref = ""
                 case _:
-                    self.fail(f"expected a declaration, found {tok[1]!r}", tok)
+                    self.unexpected("a declaration", tok)
 
     def parse_decl(self, source_ref: str) -> Declaration:
         kw = self.tokens[self.pos]
@@ -312,7 +309,11 @@ class Parser:
         else:
             self.expect(":=", "':=' introducing the body")
             body = self.parse_term()
-        return Declaration(kw[1], name, ty, body, Span(kw[2], self.end), source_ref)
+        span = Span(kw[2], self.end)
+        if RESERVED_NAME.match(name):
+            message = f"{name!r} is reserved for printer-invented binders"
+            self.pending.insert(0, Diagnostic("reserved-name", message, span))
+        return Declaration(kw[1], name, ty, body, span, source_ref)
 
     # -- terms ---------------------------------------------------------
 
@@ -391,7 +392,7 @@ class Parser:
             case "(":
                 return self.parse_parenthesized()
             case _:
-                self.fail(f"expected a term, found {text!r}", tok)
+                self.unexpected("a term", tok)
 
     def parse_binder_arg(self, count: int, what: str) -> t.Term:
         """An eliminator argument that binds `count` names: a `fun` of at
@@ -403,8 +404,8 @@ class Parser:
         for _ in range(count):
             if body.__class__ is not t.Lam:
                 # Resolution reports this before anything inside the argument.
-                start = self.span_start(first)
-                self.pending.insert(mark, SElim(what, count, Span(start, self.end)))
+                message = f"{what} must be a function of {count} argument(s)"
+                self.pending.insert(mark, Diagnostic("resolve", message, Span(self.span_start(first), self.end)))
                 return term
             body = body.body
         return body
@@ -444,7 +445,7 @@ class Parser:
                 self.end = self.expect(")", "')'")[3]
                 return t.Pair(term, snd)
             case _:
-                self.fail(f"expected ')', ':' or ',', found {tok[1]!r}", tok)
+                self.unexpected("')', ':' or ','", tok)
 
     def parse_pair_tail(self) -> t.Term:
         """After a comma: more elements associate to the right."""

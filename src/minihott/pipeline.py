@@ -6,7 +6,9 @@ must lex the next chunk of a file, the declarations it has parsed are
 resolved and checked, inside the one `parse_module` call per file, so a
 file's whole parse tree is never held.  A lex or parse error still ends
 the run, after the declarations of the chunks before it are checked.
-Only the parser decides where a declaration ends and what it holds.
+Only the parser decides where a declaration ends, what it holds and
+what its text alone rejects; the duplicate-name check, which depends on
+earlier verdicts, is the one made here.
 
 Resolution and checking are interleaved per declaration so that a
 rejected declaration leaves no binding behind: later declarations that
@@ -27,7 +29,6 @@ from .checker import Checker
 from .diagnostics import CheckFailure, Diagnostic
 from .globals import Config, Globals
 from .parser import Declaration, parse_module
-from .printer import RESERVED_NAME
 from .resolver import Resolver
 
 
@@ -131,14 +132,6 @@ def _check_file(file: str, source: str, glob: Globals) -> CheckReport:
             try:
                 if decl.name in seen:
                     raise CheckFailure(Diagnostic("duplicate-name", f"duplicate declaration {decl.name!r}", decl.span))
-                if RESERVED_NAME.match(decl.name):
-                    raise CheckFailure(
-                        Diagnostic(
-                            "reserved-name",
-                            f"{decl.name!r} is reserved for printer-invented binders",
-                            decl.span,
-                        )
-                    )
                 resolver.resolve(checks)
                 checker.check_declaration(decl)
             except CheckFailure as exc:

@@ -3,7 +3,7 @@
 The output re-parses and re-resolves to the same core term, so it is
 safe to round-trip and to embed in diagnostics.  Binder names are
 invented as `x0`, `x1`, ... by depth; user-defined global names of that
-shape would be shadowed, so the surface layer treats them as reserved.
+shape would be shadowed, so the parser rejects them (`parser.RESERVED_NAME`).
 
 Each step dispatches on the term's class through `_PRINT`.  Keywords and
 binder counts come from the parser: an `ELIMS` head prints as its keyword
@@ -13,16 +13,12 @@ and each field, an atom or a `fun` of the names the field binds, and a
 
 from __future__ import annotations
 
-import re
-
 from . import terms as t
 from .diagnostics import KernelBug
 from .parser import CONST_TERMS, ELIMS
 
 # precedence: 0 arrow, 1 times, 2 application, 3 atom
 _ARROW, _TIMES, _APP, _ATOM = 0, 1, 2, 3
-
-RESERVED_NAME = re.compile(r"^x[0-9]+$")
 
 # {head node: (keyword, ((field, binders), ...))} and {constant class: keyword}
 _HEADS = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .diagnostics import CheckFailure, Diagnostic, Span
 from .globals import Globals
-from .parser import CONST_TERMS, SElim
+from .parser import CONST_TERMS
 from .terms import Linked
 
 
@@ -22,13 +22,12 @@ class Resolver:
     def resolve(self, pending: list) -> None:
         """Link each `SVar`'s `Ref` to its `GlobalEntry.ref`, or raise the
         diagnostic of the first of a declaration's pending checks that
-        fails: an `SElim`, or an `SVar` whose name is not in scope."""
+        fails: a ready `Diagnostic`, or an `SVar` whose name is unbound."""
         entries = self.glob.entries
         link = Linked.target.__set__
         for check in pending:
-            if check.__class__ is SElim:
-                message = f"{check.what} must be a function of {check.count} argument(s)"
-                raise CheckFailure(Diagnostic("resolve", message, check.span))
+            if check.__class__ is Diagnostic:
+                raise CheckFailure(check)
             ref = check.ref
             entry = entries.get(ref.name)
             if entry is None:

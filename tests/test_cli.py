@@ -24,6 +24,8 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_resolve_errors import CASES as RESOLVE_CASES
+from test_resolve_errors import RECORDED as RESOLVE_RECORDED
 
 from minihott import cli, conversion
 from minihott.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main, print_json
@@ -698,6 +700,28 @@ def sibling_interpreters() -> list[pathlib.Path]:
     )
 
 
+# Run by a sibling interpreter, which has no pytest: each case of
+# `tests/test_resolve_errors.py` (a JSON file, argv[1]) through `cli.main`
+# in this one process, in a directory of its own under argv[2]; prints the
+# exit code, stdout and stderr of each case as JSON.
+REPLAY_CASES = """
+import contextlib, io, json, os, pathlib, sys
+from minihott.cli import main
+outputs = {}
+for i, (name, files) in enumerate(json.loads(pathlib.Path(sys.argv[1]).read_text()).items()):
+    os.chdir(sys.argv[2])
+    os.mkdir(str(i))
+    os.chdir(str(i))
+    for file, text in files:
+        pathlib.Path(file).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", "json", "check", *(file for file, _ in files)])
+    outputs[name] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps(outputs))
+"""
+
+
 def test_reports_are_identical_under_sibling_interpreters(tmp_path):
     interpreters = sibling_interpreters()
     if not interpreters:
@@ -752,9 +776,13 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
     # The front end's error path: exit 2, nothing on stdout, one line on stderr.
     stray = "error [parse] expected ')', found 'def'"
     errors = [
-        (PARSE_ERROR, "error [parse] expected a term, found ''"),
+        (PARSE_ERROR, "error [parse] expected a term"),
         (PARSE_THEN_LEX_ERROR, "error [lex] unexpected character '$'"),
         *((unclosed + STRAY_PAREN + FURTHER_DECLS, stray) for unclosed in UNCLOSED_GROUPS),
+        # a parse that stops at a note, or at the end inside parentheses
+        (UNCLOSED_GROUPS[0] + FURTHER_DECLS, "error [parse] expected ')', found '--@ tag0'"),
+        (UNCLOSED_GROUPS[0] + "--! needs-ua\n" + FURTHER_DECLS, "error [parse] expected ')', found '--! needs-ua'"),
+        ("def b : Nat := (0", "error [parse] expected ')', ':' or ','"),
     ]
     for i, (text, message) in enumerate(errors):
         args = ["check", write(tmp_path, f"error-{i}.hott", text)]
@@ -762,6 +790,22 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
         assert expected[:2] == (EXIT_USAGE, "") and expected[2].endswith(f"{message}\n")
         for python in interpreters:
             assert output(python, args) == expected, python
+
+    # Every recorded resolve-error case, replayed in-process by one child per interpreter.
+    cases_path = tmp_path / "resolve-cases.json"
+    cases_path.write_text(json.dumps(RESOLVE_CASES))
+    for i, python in enumerate(interpreters):
+        replay = tmp_path / f"replay-{i}"
+        replay.mkdir()
+        done = subprocess.run(
+            [str(python), "-c", REPLAY_CASES, str(cases_path), str(replay)],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        replayed = {
+            name: {"exit": code, "report": without_ms(json.loads(out)) if out else None, "stderr": err}
+            for name, (code, out, err) in json.loads(done.stdout).items()
+        }
+        assert replayed == RESOLVE_RECORDED, python
 
     def generated(python, out: pathlib.Path) -> dict:
         subprocess.run(

@@ -2,7 +2,8 @@
 
 `data/resolve_errors.json` holds, for each case below, the exit code,
 the `--format json check` report without its `ms` fields, and stderr, as
-recorded from the resolver that walked a separate surface tree. The
+recorded from the resolver that walked a separate surface tree (a case
+added later, from the code before the change that added it). The
 one-pass parser must give the same bytes: the same first error of each
 declaration, with the same message, hint and span, and the same
 file-level lex and parse errors.
@@ -113,6 +114,16 @@ DECLARATIONS = {
     "annotation-not-binders": "def u : U0 := (x : Nat) (y z) -> Nat\n",
     "reserved-name": "def x1 : Nat := (fun x => x) 1\n",
     "reserved-before-unbound": "axiom x12 : zzz\n",
+    # A reserved name comes before every check of the declaration's text.
+    "reserved-before-arity-error-and-unbound": "def x3 : Nat := natElim Nat zzz (fun k ih => ih) one\n",
+    "reserved-before-unbound-and-arity-error": "def x4 : Nat := natElim (fun n => Nat) zzz (fun k => k) one\n",
+    "reserved-goal": "goal x0 : Nat := 1\n",
+    "reserved-declared-twice": "def x5 : Nat := 1\ndef x5 : Nat := one\n",
+    "reserved-after-duplicate": "def x6 : Nat := star\ndef one : Nat := natElim Nat one (fun k ih => ih) one\n",
+    # The type is walked before the body, each in the order its text is read.
+    "arity-error-in-type-before-unbound-body": "def e : natElim Nat U0 (fun k ih => U0) one := zzz\n",
+    "arity-error-in-type-before-unbound-type": "def e : twoElim Nat U0 U0 zero2 -> zzz := one\n",
+    "unbound-in-type-before-arity-error-in-body": "def e : Zz := emptyElim Nat void\n",
     "rejected-earlier": "def bad : Nat := star\ndef c : Nat := suc bad\n",
     "rejected-earlier-hint": "def bad1 : Nat := star\ndef bad2 : Nat := 1\ndef c : Nat := bad1\n",
     "goal-binds-nothing": "goal g : Nat := 1\ndef h : Nat := g\n",

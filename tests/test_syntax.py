@@ -270,10 +270,30 @@ def truncations() -> list[str]:
     return [d[:i] + rest for d in decls for i in range(len(d) + 1) for rest in ("", FURTHER_DECLS[:200])]
 
 
+# The notes a parse may stop at: a tag and a pragma.
+NOTES = ("--@ tag", "--! needs-ua")
+
+
+def with_notes(source: str) -> list[str]:
+    """`source` with a note line before its second declaration, or at its
+    end, once for each of `NOTES`."""
+    at = source.find("\ndef ")
+    at = len(source) if at < 0 else at
+    return [f"{source[:at]}\n{note}{source[at:]}" for note in NOTES]
+
+
+def stopping_sources() -> list[str]:
+    """Sources whose parse stops at every kind of token, a note too: the
+    truncations and the unbalanced groups, also with a note line before
+    the declaration that follows."""
+    sources = [*truncations(), *UNBALANCED]
+    return [*sources, *(noted for source in sources for noted in with_notes(source)), "def a : Nat\n--@ t\n:= 0"]
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64, parser.CHUNK])
 def test_parse_matches_the_whole_token_list_across_chunk_edges(monkeypatch, chunk):
     monkeypatch.setattr(parser, "CHUNK", chunk)
-    sources = [*chunk_edge_sources(), *LEX_FRAGMENTS, *UNBALANCED, PARSE_THEN_LEX_ERROR, *truncations()]
+    sources = [*chunk_edge_sources(), *LEX_FRAGMENTS, PARSE_THEN_LEX_ERROR, *stopping_sources()]
     for source in sources:
         assert parse_outcome(parse_module, source) == parse_outcome(whole_list_parse, source), source[:80]
 
@@ -289,6 +309,29 @@ def test_a_declarations_parse_does_not_depend_on_what_follows_it(monkeypatch, ch
         expected = Diagnostic("parse", "expected ')', found 'def'", Span(at, at + 3))
         assert parse_outcome(parse_module, source) == expected
         assert parse_outcome(parse_module, unclosed + STRAY_PAREN.replace(")", "") + FURTHER_DECLS) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, parser.CHUNK])
+def test_a_parse_error_names_the_source_text_where_it_stopped(monkeypatch, chunk):
+    """A parse error that says what it expected names the source text
+    under its span, a note as written, or nothing when the span starts at
+    the end of the file; any other parse error names no token."""
+    monkeypatch.setattr(parser, "CHUNK", chunk)
+    stops = set()
+    for source in stopping_sources():
+        outcome = parse_outcome(parse_module, source)
+        if outcome.__class__ is not Diagnostic or outcome.code != "parse":
+            continue
+        expected, found_part, found = outcome.message.partition(", found ")
+        if not expected.startswith("expected "):
+            assert not found_part, outcome
+        elif outcome.span.start == len(source):
+            assert not found_part, outcome
+            stops.add("eof")
+        else:
+            assert found == repr(source[outcome.span.start : outcome.span.end]), (source[:80], outcome)
+            stops.add(found[1:4] if found.startswith("'--") else "token")
+    assert stops == {"eof", "token", *(note[:3] for note in NOTES)}
 
 
 def test_a_lex_error_after_a_parse_error_is_the_one_reported():
