@@ -123,9 +123,8 @@ def _json_pieces(value, indent: str, put) -> None:
     """Pass `json.dumps(value, ensure_ascii=False, indent=2)` to `put` in
     pieces of at most a line, for the JSON values of a report, in about
     half the time of `json.dumps`, which drops its C encoder given `indent`.
-    An object with a `to_json_lazy` or `to_json` method, such as a file's
-    `CheckReport` and each of its `DeclReport`s, is converted when the walk
-    reaches it."""
+    An object with a `to_json` method, such as a file's `CheckReport` and
+    each of its `DeclReport`s, is converted when the walk reaches it."""
     cls = value.__class__
     if cls is dict and value:
         inner = indent + "  "
@@ -146,8 +145,6 @@ def _json_pieces(value, indent: str, put) -> None:
             _json_pieces(v, inner, put)
             sep = "," + inner
         put(indent + "]")
-    elif hasattr(value, "to_json_lazy"):
-        _json_pieces(value.to_json_lazy(), indent, put)
     elif hasattr(value, "to_json"):
         _json_pieces(value.to_json(), indent, put)
     else:
@@ -247,16 +244,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     from . import oracle
 
     bound = oracle.DEFAULT_BOUND if args.bound is None else args.bound
-    reports = oracle.run_suites(args.suite, bound)
+    report = oracle.run_suites(args.suite, bound)
     if args.format == "json":
-        print_json(oracle.reports_to_json(reports))
+        print_json(report)
     else:
-        for report in reports:
-            status = "pass" if report.ok else "FAIL"
-            print(f"{status} {report.suite}: {report.cases} cases ({report.ms:.1f} ms)")
-            for witness in report.counterexamples:
+        for suite in report.declarations:
+            status = "pass" if suite.ok else "FAIL"
+            print(f"{status} {suite.name}: {suite.cases} cases ({suite.ms:.1f} ms)")
+            for witness in suite.counterexamples:
                 print(f"  counterexample: {witness}")
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_REJECTED
+    return EXIT_OK if report.ok else EXIT_REJECTED
 
 
 COMMANDS = {

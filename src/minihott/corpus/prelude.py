@@ -18,8 +18,6 @@ EQV_LEVELS = (0, 1, 2, 3, 4, 6)
 UA_LEVELS = (0, 1, 2, 3)
 TRUNC_LEVELS = (0, 1, 2, 3, 4)
 
-AMB = 6  # ambient universe for level-agnostic lemmas
-
 
 def path_algebra() -> HottFile:
     f = HottFile(

@@ -7,6 +7,10 @@ this model's reach and are covered only by kernel checking.
 
 Composition is diagrammatic: `compose(p, q)` is "p then q", so the
 transport of a loop p along a loop q is the conjugate q⁻¹ · p · q.
+
+Each suite's verdict is an `OracleReport`, a `diagnostics.DeclReport` of
+kind `oracle`; `run_suites` gathers them in the `CheckReport` of the
+pseudo-file `<oracle>`, so `oracle` writes the report format `check` does.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import itertools
 import math
 import time
 
-from .diagnostics import Diagnostic, Span
+from .diagnostics import CheckReport, DeclReport, Diagnostic, Span
 from .records import record
 
 DEFAULT_BOUND = 4
@@ -118,14 +122,15 @@ def _check_bound(bound: int) -> None:
 # --- reporting ---
 
 
-class OracleReport:
-    __slots__ = ("suite", "cases", "counterexamples", "ms")
+class OracleReport(DeclReport):
+    """A suite's verdict, in the report format of a declaration's: rejected,
+    with the first five witnesses as its diagnostic, once a case fails."""
 
-    def __init__(self, suite: str) -> None:
-        self.suite = suite
-        self.cases = 0
+    __slots__ = ("counterexamples",)
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name, "oracle", 0.0, "", cases=0)
         self.counterexamples: list[str] = []
-        self.ms = 0.0
 
     @property
     def ok(self) -> bool:
@@ -137,35 +142,10 @@ class OracleReport:
         building thousands of strings it never shows."""
         self.cases += 1
         if not condition:
-            self.counterexamples.append(template.format(*args))
-
-    def to_json(self) -> dict:
-        out = {
-            "name": self.suite,
-            "kind": "oracle",
-            "status": "accepted" if self.ok else "rejected",
-            "ref": "",
-            "ms": round(self.ms, 3),
-            "cases": self.cases,
-        }
-        if self.counterexamples:
-            message = "; ".join(self.counterexamples[:5])
-            out["diagnostic"] = Diagnostic("counterexample", message, Span(0, 0)).to_json()
-        return out
-
-
-def reports_to_json(reports: list["OracleReport"]) -> dict:
-    """Aggregate suite reports in the same shape as a CheckReport."""
-    rejected = sum(1 for r in reports if not r.ok)
-    return {
-        "file": "<oracle>",
-        "declarations": [r.to_json() for r in reports],
-        "totals": {
-            "accepted": len(reports) - rejected,
-            "rejected": rejected,
-            "ms": round(sum(r.ms for r in reports), 3),
-        },
-    }
+            witnesses = self.counterexamples
+            witnesses.append(template.format(*args))
+            if len(witnesses) <= 5:
+                self.diagnostic = Diagnostic("counterexample", "; ".join(witnesses), Span(0, 0))
 
 
 # --- suites ---
@@ -404,17 +384,19 @@ SUITES = {
 }
 
 
-def run_suites(names: list[str] | None = None, bound: int = DEFAULT_BOUND) -> list[OracleReport]:
-    """Run the named suites (all by default) in declaration order."""
+def run_suites(names: list[str] | None = None, bound: int = DEFAULT_BOUND) -> CheckReport:
+    """Run the named suites (all by default) in declaration order; return
+    the report of the pseudo-file `<oracle>`, one verdict per suite."""
     _check_bound(bound)
     selected = list(SUITES) if names is None else names
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
-    reports = []
+    report = CheckReport("<oracle>")
     for name in selected:
         start = time.perf_counter()
-        report = SUITES[name](bound)
-        report.ms = (time.perf_counter() - start) * 1000
-        reports.append(report)
-    return reports
+        suite = SUITES[name](bound)
+        suite.ms = (time.perf_counter() - start) * 1000
+        report.declarations.append(suite)
+        report.ms += suite.ms
+    return report

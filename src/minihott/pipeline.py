@@ -14,6 +14,9 @@ Resolution and checking are interleaved per declaration so that a
 rejected declaration leaves no binding behind: later declarations that
 mention it fail with an unbound-identifier diagnostic instead of
 silently building on a rejected proof.
+
+The verdicts of each file are a `CheckReport` of `DeclReport`s, the
+report format that `diagnostics` defines for `check` and `oracle` alike.
 """
 
 from __future__ import annotations
@@ -26,78 +29,10 @@ from collections.abc import Iterable
 
 from . import conversion
 from .checker import Checker
-from .diagnostics import CheckFailure, Diagnostic
+from .diagnostics import CheckFailure, CheckReport, DeclReport, Diagnostic
 from .globals import Config, Globals
 from .parser import Declaration, parse_module
 from .resolver import Resolver
-
-
-class DeclReport:
-    __slots__ = ("name", "kind", "status", "ms", "source_ref", "diagnostic")
-
-    def __init__(
-        self, name: str, kind: str, status: str, ms: float, source_ref: str, diagnostic: Diagnostic | None = None
-    ) -> None:
-        self.name = name
-        self.kind = kind
-        self.status = status  # "accepted" | "rejected"
-        self.ms = ms
-        self.source_ref = source_ref
-        self.diagnostic = diagnostic
-
-    def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "kind": self.kind,
-            "status": self.status,
-            "ref": self.source_ref,
-            "ms": round(self.ms, 3),
-        }
-        if self.diagnostic is not None:
-            out["diagnostic"] = self.diagnostic.to_json()
-        return out
-
-
-class CheckReport:
-    """The verdicts on one file's declarations, and the file's wall time
-    (`ms`): lex, parse, resolve and check."""
-
-    __slots__ = ("file", "declarations", "ms")
-
-    def __init__(self, file: str = "<input>") -> None:
-        self.file = file
-        self.declarations: list[DeclReport] = []
-        self.ms = 0.0
-
-    @property
-    def accepted(self) -> int:
-        return sum(1 for d in self.declarations if d.status == "accepted")
-
-    @property
-    def rejected(self) -> int:
-        return sum(1 for d in self.declarations if d.status == "rejected")
-
-    @property
-    def ok(self) -> bool:
-        return self.rejected == 0
-
-    def to_json(self) -> dict:
-        out = self.to_json_lazy()
-        out["declarations"] = [d.to_json() for d in self.declarations]
-        return out
-
-    def to_json_lazy(self) -> dict:
-        """`to_json()` with the `DeclReport`s themselves as its declarations,
-        for a writer that converts each when it reaches it (`cli.print_json`)."""
-        return {
-            "file": self.file,
-            "declarations": self.declarations,
-            "totals": {
-                "accepted": self.accepted,
-                "rejected": self.rejected,
-                "ms": round(self.ms, 3),
-            },
-        }
 
 
 def check_files(
@@ -135,12 +70,12 @@ def _check_file(file: str, source: str, glob: Globals) -> CheckReport:
                 resolver.resolve(checks)
                 checker.check_declaration(decl)
             except CheckFailure as exc:
-                status, diagnostic = "rejected", exc.diagnostic
+                diagnostic = exc.diagnostic
             else:
-                status, diagnostic = "accepted", None
+                diagnostic = None
                 seen.add(decl.name)
             ms = (time.perf_counter() - decl_start) * 1000
-            append(DeclReport(decl.name, decl.kind, status, ms, decl.source_ref, diagnostic))
+            append(DeclReport(decl.name, decl.kind, ms, decl.source_ref, diagnostic))
 
     try:
         parse_module(source, check)

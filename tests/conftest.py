@@ -69,7 +69,10 @@ def check_one(source: str, config: Config | None = None):
 
 
 def without_ms(value):
-    """A JSON report with every `ms` field left out."""
+    """A JSON report, or the JSON of a report object, with every `ms` field
+    left out."""
+    if hasattr(value, "to_json"):
+        value = value.to_json()
     if isinstance(value, dict):
         return {k: without_ms(v) for k, v in value.items() if k != "ms"}
     if isinstance(value, list):

@@ -104,11 +104,11 @@ def test_kernel_call_counts_do_not_rise(monkeypatch):
 
 def test_oracle_suites_exact_and_fast():
     start = time.perf_counter()
-    reports = oracle.run_suites()
+    reports = oracle.run_suites().declarations
     elapsed = time.perf_counter() - start
     assert elapsed < ORACLE_BUDGET_SECONDS
     assert all(r.ok for r in reports)
-    by_name = {r.suite: r for r in reports}
+    by_name = {r.name: r for r in reports}
     assert set(by_name) == set(oracle.SUITES)
     assert len(oracle.automorphisms(oracle.FinSet(2))) == 2
     assert len(oracle.automorphisms(oracle.FinSet(3))) == 6

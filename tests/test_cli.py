@@ -216,6 +216,31 @@ def test_corpus_reports_validate_against_schema(tmp_path, capsys):
     assert code == EXIT_OK
     for report in payload["reports"]:
         jsonschema.validate(report, SCHEMA)
+    # and the benchmark's synth program, a tenth of it rejected
+    code, payload = check_json(["check", write(tmp_path, "synth-1.hott", synth_program(1))], capsys)
+    assert code == EXIT_REJECTED
+    [report] = payload["reports"]
+    jsonschema.validate(report, SCHEMA)
+    assert 0 < report["totals"]["rejected"] < report["totals"]["accepted"]
+
+
+def test_schema_ties_the_diagnostic_to_the_status_and_cases_to_the_oracle(tmp_path, capsys):
+    """A declaration carries a diagnostic exactly when it is rejected, and
+    `cases` exactly when it is an oracle suite."""
+    _, payload = check_json(["check", write(tmp_path, "mixed.hott", GOOD + BAD)], capsys)
+    [report] = payload["reports"]
+    accepted, rejected = report["declarations"]
+    _, oracle_report = check_json(["oracle", "--suite", "enumeration"], capsys)
+    [suite] = oracle_report["declarations"]
+
+    def valid(decl) -> bool:
+        return jsonschema.Draft202012Validator(SCHEMA).is_valid({**report, "declarations": [decl]})
+
+    assert valid(accepted) and valid(rejected) and valid(suite)
+    assert not valid({k: v for k, v in rejected.items() if k != "diagnostic"})
+    assert not valid({**accepted, "diagnostic": rejected["diagnostic"]})
+    assert not valid({k: v for k, v in suite.items() if k != "cases"})
+    assert not valid({**accepted, "cases": 1})
 
 
 # --- the JSON writer ---
@@ -306,7 +331,7 @@ def test_check_prints_its_json_report_in_pieces(monkeypatch, tmp_path):
         monkeypatch.setattr(cls, method, recording_convert)
 
     monkeypatch.setattr(sys, "stdout", recorder)
-    recording(CheckReport, "to_json_lazy")
+    recording(CheckReport, "to_json")
     recording(DeclReport, "to_json")
     assert main(["--format", "json", "check", *PRELUDE, synth]) == EXIT_REJECTED
     out = "".join(recorder.writes)
@@ -350,11 +375,42 @@ def test_oracle_bound_outside_its_range_names_the_range(capsys, bound):
     assert capsys.readouterr().err == f"error: bound {bound} is outside the allowed range 0..6\n"
 
 
-def test_oracle_bound_defaults_to_the_oracle_default(monkeypatch, capsys):
+def test_failing_oracle_suite_through_the_cli(monkeypatch, capsys):
+    """A broken composition fails `groupoid-laws`: exit 1, every witness in
+    the text, the first five in the JSON report's diagnostic."""
+    from test_oracle import drop_first_factor
+
     from minihott import oracle
 
+    monkeypatch.setattr(oracle, "compose", drop_first_factor)
+    args = ["oracle", "--suite", "groupoid-laws", "--bound", "3"]
+    assert main(args) == EXIT_REJECTED
+    first, *rest = capsys.readouterr().out.splitlines()
+    assert first.startswith("FAIL groupoid-laws: 266 cases (")
+    witnesses = oracle.check_groupoid_laws(bound=3).counterexamples
+    assert len(witnesses) == 18
+    assert rest == [f"  counterexample: {witness}" for witness in witnesses]
+
+    code, payload = check_json(args, capsys)
+    assert code == EXIT_REJECTED
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["totals"]["accepted"] == 0 and payload["totals"]["rejected"] == 1
+    [decl] = payload["declarations"]
+    assert (decl["name"], decl["status"], decl["cases"]) == ("groupoid-laws", "rejected", 266)
+    assert decl["diagnostic"] == {
+        "severity": "error",
+        "code": "counterexample",
+        "message": "; ".join(witnesses[:5]),
+        "span": [0, 0],
+    }
+
+
+def test_oracle_bound_defaults_to_the_oracle_default(monkeypatch, capsys):
+    from minihott import oracle
+    from minihott.diagnostics import CheckReport
+
     bounds = []
-    monkeypatch.setattr(oracle, "run_suites", lambda suites, bound: bounds.append(bound) or [])
+    monkeypatch.setattr(oracle, "run_suites", lambda suites, bound: bounds.append(bound) or CheckReport("<oracle>"))
     assert main(["oracle"]) == EXIT_OK
     assert main(["oracle", "--bound", "3"]) == EXIT_OK
     assert bounds == [oracle.DEFAULT_BOUND, 3]
@@ -807,13 +863,12 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
         }
         assert replayed == RESOLVE_RECORDED, python
 
-    def generated(python, out: pathlib.Path) -> dict:
+    # `gen --level 2` writes the checked-in corpus byte for byte.
+    corpus = snapshot(written)
+    for python in interpreters:
+        out = tmp_path / python.parent.parent.name
         subprocess.run(
             [str(python), "-m", "minihott", "gen", "--level", "2", "--out", str(out)],
             capture_output=True, env=env, timeout=120, check=True,
         )
-        return snapshot(out)
-
-    corpus = generated(sys.executable, tmp_path / "gen")
-    for i, python in enumerate(interpreters):
-        assert generated(python, tmp_path / f"gen-{i}") == corpus, python
+        assert snapshot(out) == corpus, python

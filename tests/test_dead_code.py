@@ -1,6 +1,8 @@
-"""No dead code: every top-level function and class of the package is named
-somewhere other than its own definition, in `src/`, `tests/` or
-`pyproject.toml` (where the console script names its entry point).
+"""No dead code: every top-level function, class and assigned name of the
+package is named somewhere other than its own definition, in `src/`,
+`tests/`, `pyproject.toml` (where the console script names its entry
+point) or a `table_size("minihott.<module>", "<name>")` of
+`perfbench/traced_cli.py` (which reads the size of a module's table).
 
 A name counts as a use of the definition it refers to: a bare name in the
 defining module, a name imported from that module (an import is a use,
@@ -59,6 +61,16 @@ def uses(node: ast.AST, module: str, aliases: dict) -> collections.Counter:
     return found
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or class's,
+    or each name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    names = (n for t in targets for n in (t.elts if isinstance(t, ast.Tuple) else [t]))
+    return [n.id for n in names if isinstance(n, ast.Name)]
+
+
 def test_every_top_level_function_and_class_is_used():
     files = [*SRC.rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
     parsed = {}
@@ -70,13 +82,17 @@ def test_every_top_level_function_and_class_is_used():
         parsed[path] = (tree, module, aliases)
         used += uses(tree, module, aliases)
     used.update(re.findall(r"([\w.]+):(\w+)", (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    tracer = (ROOT / "perfbench" / "traced_cli.py").read_text(encoding="utf-8")
+    used.update(re.findall(r'table_size\("([\w.]+)", "(\w+)"\)', tracer))
     unused = []
     for path in SRC.rglob("*.py"):
         tree, module, aliases = parsed[path]
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
-                # a recursive call or a reference in its own body is no use
-                key = (module, node.name)
+            for name in defined_names(node):
+                if name.startswith("__"):
+                    continue
+                # its own name, a recursive call or a reference in its own body is no use
+                key = (module, name)
                 if used[key] - uses(node, module, aliases)[key] <= 0:
-                    unused.append(f"{module}.{node.name}")
+                    unused.append(f"{module}.{name}")
     assert unused == []

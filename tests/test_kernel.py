@@ -148,13 +148,26 @@ def test_eta_for_pairs_off_rejects():
     assert not result.ok
 
 
-def test_eta_for_unit():
-    source = (
-        "axiom u : Unit\n"
-        "goal unitEta : Id Unit u star\n"
-        "  := refl star"
-    )
-    assert check_one(source).ok
+@pytest.mark.parametrize(
+    "source,verdict",
+    [
+        pytest.param("axiom u : Unit\ngoal unitEta : Id Unit u star\n  := refl star", None, id="refl-star"),
+        pytest.param("def a : (x y : Unit) -> Id Unit x y := fun x y => refl x", None, id="refl-variables"),
+        # `subtype` compares `P x` with `P y` without their type, so η for
+        # Unit does not apply: a kernel change that applies it there must
+        # flip this verdict on purpose.
+        pytest.param(
+            "def b : (P : Unit -> U0) (x y : Unit) -> P x -> P y := fun P x y p => p",
+            "type-mismatch",
+            id="transport-in-a-family",
+        ),
+    ],
+)
+def test_eta_for_unit(source, verdict):
+    """η for `Unit` holds where `refl` is checked against an identity type
+    (`_check_refl`'s typed conversion), and nowhere else."""
+    decl = check_one(source).declarations[-1]
+    assert (decl.diagnostic and decl.diagnostic.code) == verdict
 
 
 def test_swap_not_convertible_with_identity():

@@ -7,9 +7,10 @@ import time
 
 import jsonschema
 import pytest
-from conftest import SCHEMA
+from conftest import SCHEMA, without_ms
 
 from minihott import oracle
+from minihott.diagnostics import CheckReport
 
 
 # --- exact values ---
@@ -82,29 +83,25 @@ def test_sigma_loop_shadows_agree_on_every_instance():
 
 def test_all_suites_pass_within_budget():
     start = time.perf_counter()
-    reports = oracle.run_suites()
+    reports = oracle.run_suites().declarations
     elapsed = time.perf_counter() - start
     assert all(r.ok for r in reports), [
-        (r.suite, r.counterexamples) for r in reports if not r.ok
+        (r.name, r.counterexamples) for r in reports if not r.ok
     ]
-    assert [r.suite for r in reports] == list(oracle.SUITES)
+    assert [r.name for r in reports] == list(oracle.SUITES)
     assert all(r.cases > 0 for r in reports)
     assert elapsed < 0.5
 
 
 def test_suite_reports_are_deterministic_modulo_timing():
     def fingerprint():
-        payload = oracle.reports_to_json(oracle.run_suites())
-        payload["totals"].pop("ms")
-        for item in payload["declarations"]:
-            item.pop("ms")
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(without_ms(oracle.run_suites()), sort_keys=True)
 
     assert len({fingerprint() for _ in range(3)}) == 1
 
 
 def test_report_json_shape():
-    payload = oracle.reports_to_json(oracle.run_suites(["enumeration"]))
+    payload = without_ms(oracle.run_suites(["enumeration"]))
     assert payload["file"] == "<oracle>"
     assert payload["totals"]["rejected"] == 0
     [decl] = payload["declarations"]
@@ -192,7 +189,10 @@ def test_rejected_suite_report_validates_against_schema(monkeypatch):
     """A failing suite's JSON: the schema holds, and its diagnostic is the
     first five witnesses in the shape every checker diagnostic has."""
     monkeypatch.setattr(oracle, "compose", drop_first_factor)
-    payload = oracle.reports_to_json([oracle.check_groupoid_laws(bound=3)])
+    report = CheckReport("<oracle>")
+    report.declarations.append(oracle.check_groupoid_laws(bound=3))
+    payload = report.to_json()
+    payload["declarations"] = [decl.to_json() for decl in report.declarations]
     jsonschema.validate(payload, SCHEMA)
     assert payload["totals"]["rejected"] == 1
     [decl] = payload["declarations"]

@@ -4,7 +4,7 @@ corpus-level determinism and cumulativity-monotonicity checks."""
 import json
 import re
 
-from conftest import core_term
+from conftest import core_term, without_ms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,13 +157,7 @@ def test_eta_expansion_convertible(text):
 def _report_fingerprint(reports) -> bytes:
     """Serialized reports with the timing fields removed (the determinism
     contract is modulo wall time)."""
-    payload = []
-    for report in reports:
-        item = report.to_json()
-        item["totals"].pop("ms")
-        for decl in item["declarations"]:
-            decl.pop("ms")
-        payload.append(item)
+    payload = [without_ms(report) for report in reports]
     return json.dumps(payload, ensure_ascii=False, sort_keys=True).encode()
 
 
