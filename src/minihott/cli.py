@@ -8,16 +8,14 @@ bad flag, exhausted stack or memory, kernel invariant broken).
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
-import json
 import os
 import sys
-from json.encoder import encode_basestring
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn
 
-from .diagnostics import CheckFailure
+from .diagnostics import CheckFailure, encode_basestring
 
 if TYPE_CHECKING:
     from .evaluate import quote
@@ -29,38 +27,88 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 
+USAGE = """\
+usage: minihott [--format {text,json}] COMMAND ...
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="minihott",
-        description="A small dependent type checker with a generated proof corpus and a finite-model oracle.",
-    )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
+  check FILE... [--no-eta-sigma] [--max-level N]    type-check files in order
+  normalize FILE... --name NAME [--no-eta-sigma] [--max-level N]
+                                                    print a definition's normal form
+  gen --level N [--out DIR]                         write the corpus (to corpus/generated)
+  oracle [--suite NAME]... [--bound N]              run the finite-model suites
 
-    check = sub.add_parser("check", help="type-check .hott files in order")
-    check.add_argument("files", nargs="+")
-    _kernel_flags(check)
+--no-eta-sigma turns off definitional extensionality for pairs, and
+--max-level sets the universe ceiling (8 by default).  An option's value
+is the next argument or follows `=`.  -h or --help prints this text.
+"""
 
-    norm = sub.add_parser("normalize", help="print the normal form of a named definition")
-    norm.add_argument("files", nargs="+")
-    norm.add_argument("--name", required=True)
-    _kernel_flags(norm)
+# The options of the command line, before the command (key None) and of
+# each command: flag -> (attribute, how its value is read).  `None` reads
+# no value and sets the attribute to False; `list` appends the value; a
+# tuple lists the values allowed.
+_KERNEL_OPTIONS = {"--no-eta-sigma": ("eta_sigma", None), "--max-level": ("max_level", int)}
+OPTIONS = {
+    None: {"--format": ("format", ("text", "json"))},
+    "check": _KERNEL_OPTIONS,
+    "normalize": {**_KERNEL_OPTIONS, "--name": ("name", str)},
+    "gen": {"--level": ("level", int), "--out": ("out", str)},
+    "oracle": {"--suite": ("suite", list), "--bound": ("bound", int)},
+}
+DEFAULTS = {
+    "format": "text", "eta_sigma": True, "max_level": None, "name": None,
+    "level": None, "out": os.path.join("corpus", "generated"), "suite": None, "bound": None,
+}
+# What each command must be given: `files`, its arguments, or an option.
+REQUIRED = {"check": ("files",), "normalize": ("files", "name"), "gen": ("level",), "oracle": ()}
 
-    gen = sub.add_parser("gen", help="write the generated corpus to disk")
-    gen.add_argument("--level", type=int, required=True)
-    gen.add_argument("--out", default=os.path.join("corpus", "generated"))
 
-    orc = sub.add_parser("oracle", help="run finite-model verification suites")
-    orc.add_argument("--suite", action="append", default=None)
-    orc.add_argument("--bound", type=int, default=None)
-
-    return parser
-
-
-def _kernel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--no-eta-sigma", dest="eta_sigma", action="store_false", default=True)
-    parser.add_argument("--max-level", type=int, default=None)
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The command line `argv` as attributes (`command`, `files` and each
+    option's); None for `-h`/`--help`.  A usage error raises `ValueError`."""
+    values = {**DEFAULTS, "files": []}
+    command, options = None, OPTIONS[None]
+    items = iter(argv)
+    for item in items:
+        if item in ("-h", "--help"):
+            return None
+        if not item.startswith("-"):
+            if command is None:
+                if item not in COMMANDS:
+                    raise ValueError(f"unknown command {item!r}: give one of {', '.join(COMMANDS)}")
+                command, options = item, OPTIONS[item]
+            elif "files" in REQUIRED[command]:
+                values["files"].append(item)
+            else:
+                raise ValueError(f"{command} takes no argument {item!r}")
+            continue
+        flag, given, value = item.partition("=")
+        if flag not in options:
+            raise ValueError(f"unknown option {flag!r}" + (f" of {command}" if command else " before the command"))
+        attr, read = options[flag]
+        if read is None:
+            if given:
+                raise ValueError(f"option {flag} takes no value")
+            values[attr] = False
+            continue
+        if not given:
+            value = next(items, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"option {flag} needs a value")
+        if read is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"option {flag} needs an integer, not {value!r}") from None
+        elif read is list:
+            value = [*(values[attr] or ()), value]
+        elif read is not str and value not in read:
+            raise ValueError(f"option {flag} must be one of {', '.join(read)}, not {value!r}")
+        values[attr] = value
+    if command is None:
+        raise ValueError(f"no command: give one of {', '.join(COMMANDS)}")
+    for need in REQUIRED[command]:
+        if values[need] in (None, []):
+            raise ValueError(f"{command} needs {'a file' if need == 'files' else '--' + need}")
+    return SimpleNamespace(command=command, **values)
 
 
 # The kernel's entry points, bound as module globals by `_load_kernel` on the
@@ -89,83 +137,13 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _config(args: argparse.Namespace) -> Config:
+def _config(args: SimpleNamespace) -> Config:
     from .globals import DEFAULT_MAX_LEVEL, Config
 
     max_level = DEFAULT_MAX_LEVEL if args.max_level is None else args.max_level
     if max_level < 0:
         raise ValueError(f"--max-level must be at least 0, not {max_level}")
     return Config(max_level=max_level, eta_sigma=args.eta_sigma)
-
-
-# `print_json` prints this many of `_json_pieces`' pieces at a time.
-PRINT_PIECES = 512
-
-
-def print_json(value) -> None:
-    """`print(json.dumps(value, ensure_ascii=False, indent=2))`, printed in
-    pieces as the walk makes them, so that a large report is never held as
-    one string."""
-    pieces: list[str] = []
-    append = pieces.append
-
-    def put(piece: str) -> None:
-        append(piece)
-        if len(pieces) == PRINT_PIECES:
-            print("".join(pieces), end="")
-            pieces.clear()
-
-    _json_pieces(value, "\n", put)
-    print("".join(pieces))
-
-
-def _json_pieces(value, indent: str, put) -> None:
-    """Pass `json.dumps(value, ensure_ascii=False, indent=2)` to `put` in
-    pieces of at most a line, for the JSON values of a report, in about
-    half the time of `json.dumps`, which drops its C encoder given `indent`.
-    An object with a `to_json` method, such as a file's `CheckReport` and
-    each of its `DeclReport`s, is converted when the walk reaches it."""
-    cls = value.__class__
-    if cls is dict and value:
-        inner = indent + "  "
-        sep = "{" + inner
-        for k, v in value.items():
-            if (v.__class__ is dict or v.__class__ is list) and v:
-                put(f"{sep}{encode_basestring(k)}: ")
-                _json_pieces(v, inner, put)
-            else:
-                put(f"{sep}{encode_basestring(k)}: {_json_scalar(v)}")
-            sep = "," + inner
-        put(indent + "}")
-    elif cls is list and value:
-        inner = indent + "  "
-        sep = "[" + inner
-        for v in value:
-            put(sep)
-            _json_pieces(v, inner, put)
-            sep = "," + inner
-        put(indent + "]")
-    elif hasattr(value, "to_json"):
-        _json_pieces(value.to_json(), indent, put)
-    else:
-        put(_json_scalar(value))
-
-
-# The JSON text of each constant a report holds; NaN, which equals nothing,
-# is tested apart.
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false", float("inf"): "Infinity", float("-inf"): "-Infinity"}
-
-
-def _json_scalar(value) -> str:
-    """The JSON text of a string, number, constant, `{}` or `[]`."""
-    cls = value.__class__
-    if cls is str:
-        return encode_basestring(value)
-    if cls is int or (cls is float and value - value == 0):  # an int or a finite float
-        return repr(value)
-    if cls is dict or cls is list:
-        return "{}" if cls is dict else "[]"
-    return "NaN" if value != value else _JSON_CONSTANTS[value]
 
 
 def _read_files(paths: list[str]):
@@ -179,12 +157,17 @@ def _read_files(paths: list[str]):
         yield path, text
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     _load_kernel()
     config = _config(args)
     reports, _ = run_deep(lambda: check_files(_read_files(args.files), config))
     if args.format == "json":
-        print_json({"reports": reports})
+        write = sys.stdout.write
+        write('{\n  "reports": [')
+        for n, report in enumerate(reports):
+            write(",\n    " if n else "\n    ")
+            report.write(write, "\n    ")
+        write("\n  ]\n}\n" if reports else "]\n}\n")
     else:
         for report in reports:
             for decl in report.declarations:
@@ -198,7 +181,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_REJECTED
 
 
-def cmd_normalize(args: argparse.Namespace) -> int:
+def cmd_normalize(args: SimpleNamespace) -> int:
     _load_kernel()
     config = _config(args)
 
@@ -222,31 +205,34 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         print(f"error: no definition named {args.name!r} in the checked files", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
-        print(json.dumps({"name": args.name, "normal_form": normal}, ensure_ascii=False))
+        print(f'{{"name": {encode_basestring(args.name)}, "normal_form": {encode_basestring(normal)}}}')
     else:
         print(normal)
     return EXIT_OK
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: SimpleNamespace) -> int:
     from .corpus import manifest
 
     written = manifest.write_corpus(args.out, args.level)
     if args.format == "json":
-        print_json({"out": args.out, "written": written})
+        paths = ",".join(f"\n    {encode_basestring(rel)}" for rel in written)
+        paths = f"[{paths}\n  ]" if written else "[]"
+        print(f'{{\n  "out": {encode_basestring(args.out)},\n  "written": {paths}\n}}')
     else:
         for rel in written:
             print(os.path.join(args.out, rel))
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     from . import oracle
 
     bound = oracle.DEFAULT_BOUND if args.bound is None else args.bound
     report = oracle.run_suites(args.suite, bound)
     if args.format == "json":
-        print_json(report)
+        report.write(sys.stdout.write)
+        print()
     else:
         for suite in report.declarations:
             status = "pass" if suite.ok else "FAIL"
@@ -256,25 +242,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_REJECTED
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "normalize": cmd_normalize,
-    "gen": cmd_gen,
-    "oracle": cmd_oracle,
-}
+COMMANDS = {"check": cmd_check, "normalize": cmd_normalize, "gen": cmd_gen, "oracle": cmd_oracle}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(USAGE, end="")
+            return EXIT_OK
         return COMMANDS[args.command](args)
     except CheckFailure as exc:
         return _error(exc.diagnostic.format(exc.file))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         return _error(exc)
     except Exception as exc:
         # Out of stack or memory, a broken kernel invariant or any other
@@ -298,11 +278,10 @@ def console_main() -> NoReturn:
 
     The cyclic garbage collector stays off from here to the exit: the
     kernel creates no reference cycles (tests/test_kernel.py checks
-    this) and argparse leaves a few hundred at most, so a collection
-    would only walk the live values.  The process ends with `os._exit`
-    once the output is flushed: the operating system takes the memory
-    back at once, where the interpreter's own exit would free every
-    value and term one at a time.
+    this), so a collection would only walk the live values.  The process
+    ends with `os._exit` once the output is flushed: the operating system
+    takes the memory back at once, where the interpreter's own exit would
+    free every value and term one at a time.
 
     A flush that fails (say, a closed pipe) exits 2, with an `error:`
     line unless `main` already exited 2 with one, as it does when a write

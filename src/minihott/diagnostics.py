@@ -4,11 +4,17 @@ format, shared by the parser, resolver, checker, oracle and CLI.
 A report (`docs/report-schema.json`) is the `CheckReport` of a file, or of
 the oracle's pseudo-file `<oracle>`, with a `DeclReport` per declaration
 or suite.  `oracle` builds its reports here too: this module loads no
-kernel module."""
+kernel module.  Each record writes its JSON text as `json.dumps(...,
+ensure_ascii=False, indent=2)` would at the given indent (a newline and
+the enclosing line's spaces), without loading the `json` package."""
 
 from __future__ import annotations
 
+from _json import encode_basestring
+
 from .records import record
+
+WRITE_BATCH = 256  # declarations per piece `CheckReport.write` passes on
 
 
 @record
@@ -28,13 +34,13 @@ class Diagnostic:
     def format(self, filename: str = "<input>") -> str:
         return f"{filename}:{self.span.start}-{self.span.end}: error [{self.code}] {self.message}"
 
-    def to_json(self) -> dict:
-        return {
-            "severity": "error",
-            "code": self.code,
-            "message": self.message,
-            "span": [self.span.start, self.span.end],
-        }
+    def json_text(self, indent: str) -> str:
+        i = indent + "  "
+        return (
+            f'{{{i}"severity": "error",{i}"code": {encode_basestring(self.code)},'
+            f'{i}"message": {encode_basestring(self.message)},'
+            f'{i}"span": [{i}  {self.span.start},{i}  {self.span.end}{i}]{indent}}}'
+        )
 
 
 class DeclReport:
@@ -63,19 +69,18 @@ class DeclReport:
     def status(self) -> str:
         return "accepted" if self.diagnostic is None else "rejected"
 
-    def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "kind": self.kind,
-            "status": self.status,
-            "ref": self.source_ref,
-            "ms": round(self.ms, 3),
-        }
+    def json_text(self, indent: str) -> str:
+        i = indent + "  "
+        text = (
+            f'{{{i}"name": {encode_basestring(self.name)},{i}"kind": {encode_basestring(self.kind)},'
+            f'{i}"status": "{self.status}",{i}"ref": {encode_basestring(self.source_ref)},'
+            f'{i}"ms": {round(self.ms, 3)!r}'
+        )
         if self.cases is not None:
-            out["cases"] = self.cases
+            text += f',{i}"cases": {self.cases}'
         if self.diagnostic is not None:
-            out["diagnostic"] = self.diagnostic.to_json()
-        return out
+            text += f',{i}"diagnostic": {self.diagnostic.json_text(i)}'
+        return text + indent + "}"
 
 
 class CheckReport:
@@ -102,15 +107,20 @@ class CheckReport:
     def ok(self) -> bool:
         return self.rejected == 0
 
-    def to_json(self) -> dict:
-        """The report as JSON, with the `DeclReport`s themselves as its
-        declarations, for a writer that converts each when it reaches it
-        (`cli.print_json`)."""
-        return {
-            "file": self.file,
-            "declarations": self.declarations,
-            "totals": {"accepted": self.accepted, "rejected": self.rejected, "ms": round(self.ms, 3)},
-        }
+    def write(self, write, indent: str = "\n") -> None:
+        """Pass the report's JSON text to `write`, a piece per
+        `WRITE_BATCH` declarations, so that a large report is never held
+        as one string."""
+        i, ii = indent + "  ", indent + "    "
+        write(f'{{{i}"file": {encode_basestring(self.file)},{i}"declarations": ')
+        decls, sep = self.declarations, "["
+        for start in range(0, len(decls), WRITE_BATCH):
+            write(sep + ii + f",{ii}".join(d.json_text(ii) for d in decls[start : start + WRITE_BATCH]))
+            sep = ","
+        write(
+            f'{i + "]" if decls else "[]"},{i}"totals": {{{ii}"accepted": {self.accepted},'
+            f'{ii}"rejected": {self.rejected},{ii}"ms": {round(self.ms, 3)!r}{i}}}{indent}}}'
+        )
 
 
 class CheckFailure(Exception):

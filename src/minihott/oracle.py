@@ -391,7 +391,7 @@ def run_suites(names: list[str] | None = None, bound: int = DEFAULT_BOUND) -> Ch
     selected = list(SUITES) if names is None else names
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
-        raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
     report = CheckReport("<oracle>")
     for name in selected:
         start = time.perf_counter()

@@ -12,12 +12,14 @@ raises `AttributeError`.
 This is the part of `@dataclass(frozen=True, slots=True)` the package
 uses.  `dataclasses` compiles every method of every class from source
 text and imports `inspect`, which made up two thirds of the start-up of
-each command.  Here only `__init__` is compiled.  It writes the fields
-through the slots' own descriptors, which bypass the frozen `__setattr__`
-at less cost than `object.__setattr__`.
+each command.  Here only `__init__` is compiled, once for each number of
+fields, and each class gets a copy with its own argument names.  It
+writes the fields through the slots' own descriptors, which bypass the
+frozen `__setattr__` at less cost than `object.__setattr__`.
 """
 
 from operator import attrgetter
+from types import CodeType, FunctionType
 
 
 def _frozen_setattr(self, name, value):
@@ -26,6 +28,10 @@ def _frozen_setattr(self, name, value):
 
 def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r} of frozen {type(self).__qualname__}")
+
+
+# The code of `__init__` by number of fields and whether it calls `__post_init__`.
+_INIT_CODES: dict[tuple[int, bool], CodeType] = {}
 
 
 def record(cls: type) -> type:
@@ -72,15 +78,16 @@ def record(cls: type) -> type:
     new = type(cls)(cls.__name__, cls.__bases__, body)
     new.__qualname__ = cls.__qualname__
 
-    # `set_<field>(self, value)` is the slot descriptor's `__set__`.
-    lines = [f"def __init__(self{''.join(', ' + name for name in names)}):"]
-    lines += [f"    set_{name}(self, {name})" for name in names]
-    if hasattr(new, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    if len(lines) == 1:
-        lines.append("    pass")
-    scope = {f"set_{name}": getattr(new, name).__set__ for name in names}
-    exec("\n".join(lines), scope)
-    new.__init__ = scope["__init__"]
-    new.__init__.__defaults__ = defaults or None
+    # The class's copy of the `__init__(self, a0, ...)` compiled once per
+    # arity: its arguments take the field names, so keywords work, and
+    # `s<i>` is the `__set__` of the i-th field's slot descriptor.
+    count, post_init = len(names), hasattr(new, "__post_init__")
+    code = _INIT_CODES.get((count, post_init))
+    if code is None:
+        lines = [f"s{i}(self, a{i})" for i in range(count)] + ["self.__post_init__()"] * post_init
+        head = f"def __init__(self{''.join(f', a{i}' for i in range(count))}):"
+        module = compile("\n    ".join([head, *(lines or ["pass"])]), "<record>", "exec")
+        code = _INIT_CODES[count, post_init] = module.co_consts[0]
+    setters = {f"s{i}": getattr(new, name).__set__ for i, name in enumerate(names)}
+    new.__init__ = FunctionType(code.replace(co_varnames=("self", *names)), setters, "__init__", defaults or None)
     return new

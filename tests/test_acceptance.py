@@ -222,7 +222,9 @@ def test_lazy_unfolding_agrees_with_eager_unfolding(monkeypatch):
     """Record each subtype and conv query the checker makes through level 1,
     on the corpus and on two mutants, then replay it with the same-head
     shortcut off, so that every definition is unfolded before comparison.
-    The answers must agree, and the mutants must contribute rejections."""
+    The answers must agree, and the mutants must contribute rejections.
+    Each run's queries are replayed, and dropped with the reference
+    side's memos, before the next run is checked."""
     queries = []  # (function, args, kwargs, answer)
 
     def recorded(fn):
@@ -233,46 +235,56 @@ def test_lazy_unfolding_agrees_with_eager_unfolding(monkeypatch):
 
         return wrapper
 
+    evaluate, conv_structural = evaluation.evaluate, conversion.conv_structural
+
+    def replay() -> tuple[list, bool]:
+        """The recorded queries whose replay disagrees, and whether any
+        answer was False; the queries are dropped."""
+        # Unfolding every definition is slow without memos, so the reference
+        # side gets its own: keyed by identity, they keep their keys alive.
+        evaluated, compared, alive = {}, {}, []
+
+        def memo_evaluate(env, term):
+            if type(term) in (t.Var, t.Ref):
+                return evaluate(env, term)
+            key = (id(term), *map(id, env))
+            if key not in evaluated:
+                evaluated[key] = evaluate(env, term)
+                alive.append((env, term))
+            return evaluated[key]
+
+        def memo_conv_structural(depth, a, b):
+            key = (id(a), id(b))
+            if key not in compared:
+                compared[key] = conv_structural(depth, a, b)
+                alive.append((a, b))
+            return compared[key]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, "evaluate", memo_evaluate)
+            patch.setattr(conversion, "conv_structural", memo_conv_structural)
+            patch.setattr(conversion, "_same_glued", lambda *args, **kwargs: False)
+            disagreements = run_deep(
+                lambda: [
+                    (fn.__name__, answer)
+                    for fn, args, kwargs, answer in queries
+                    if fn(*args, **kwargs) != answer
+                ]
+            )
+        rejected = any(answer is False for *_, answer in queries)
+        queries.clear()
+        return disagreements, rejected
+
     monkeypatch.setattr(checker, "subtype", recorded(conversion.subtype))
     monkeypatch.setattr(checker, "conv", recorded(conversion.conv))
-    corpus = CorpusRun(prefixes=THROUGH_LEVEL1)
-    assert corpus.all_ok
+    assert CorpusRun(prefixes=THROUGH_LEVEL1).all_ok
+    replays = [replay()]
     swap = mutated_run("prelude/07-two.hott", SWAP_BODY, SWAP_MUTANT, THROUGH_LEVEL1)
     assert swap.status_of("swapPathNontrivial") == "rejected"
+    replays.append(replay())
     path = "levels/level1/30-commuting-loops.hott"
     witness = mutated_run(path, SELF_WITNESS_BODY, SELF_WITNESS_MUTANT, THROUGH_LEVEL1)
     assert witness.status_of("selfCommuter") == "rejected"
-    assert any(answer is False for *_, answer in queries)
-
-    # Unfolding every definition is slow without memos, so the reference
-    # side gets its own: keyed by identity, they keep their keys alive.
-    evaluated, compared, alive = {}, {}, []
-    evaluate, conv_structural = evaluation.evaluate, conversion.conv_structural
-
-    def memo_evaluate(env, term):
-        if type(term) in (t.Var, t.Ref):
-            return evaluate(env, term)
-        key = (id(term), *map(id, env))
-        if key not in evaluated:
-            evaluated[key] = evaluate(env, term)
-            alive.append((env, term))
-        return evaluated[key]
-
-    def memo_conv_structural(depth, a, b):
-        key = (id(a), id(b))
-        if key not in compared:
-            compared[key] = conv_structural(depth, a, b)
-            alive.append((a, b))
-        return compared[key]
-
-    monkeypatch.setattr(evaluation, "evaluate", memo_evaluate)
-    monkeypatch.setattr(conversion, "conv_structural", memo_conv_structural)
-    monkeypatch.setattr(conversion, "_same_glued", lambda *args, **kwargs: False)
-    disagreements = run_deep(
-        lambda: [
-            (fn.__name__, answer)
-            for fn, args, kwargs, answer in queries
-            if fn(*args, **kwargs) != answer
-        ]
-    )
-    assert disagreements == []
+    replays.append(replay())
+    assert [disagreements for disagreements, _ in replays] == [[], [], []]
+    assert any(rejected for _, rejected in replays)

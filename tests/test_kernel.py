@@ -522,7 +522,7 @@ def shortcut_outputs() -> tuple:
     reports = [report for _, report in run.files]
     reports += [check_one(source, config) for source, config, _ in (param.values for param in KILLERS)]
     reports.append(check_one(synth_program(1)))
-    return [without_ms(report.to_json()) for report in reports], normal_forms(recorded_normal_forms())
+    return [without_ms(report) for report in reports], normal_forms(recorded_normal_forms())
 
 
 def test_same_closure_changes_no_output(monkeypatch):
@@ -984,7 +984,7 @@ def test_checking_agrees_with_the_match_based_rules(monkeypatch):
     def reports() -> list:
         run = CorpusRun(prefixes=("prelude/", "generic/", "levels/level0/"))
         checked = [report for _, report in run.files] + [check_one(*program) for program in programs]
-        return [without_ms(report.to_json()) for report in checked]
+        return [without_ms(report) for report in checked]
 
     table_based = reports()
     made = MatchChecker.made

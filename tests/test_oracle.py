@@ -7,7 +7,7 @@ import time
 
 import jsonschema
 import pytest
-from conftest import SCHEMA, without_ms
+from conftest import SCHEMA, report_json, without_ms
 
 from minihott import oracle
 from minihott.diagnostics import CheckReport
@@ -191,8 +191,7 @@ def test_rejected_suite_report_validates_against_schema(monkeypatch):
     monkeypatch.setattr(oracle, "compose", drop_first_factor)
     report = CheckReport("<oracle>")
     report.declarations.append(oracle.check_groupoid_laws(bound=3))
-    payload = report.to_json()
-    payload["declarations"] = [decl.to_json() for decl in report.declarations]
+    payload = report_json(report)
     jsonschema.validate(payload, SCHEMA)
     assert payload["totals"]["rejected"] == 1
     [decl] = payload["declarations"]
@@ -355,7 +354,7 @@ def test_bound_is_enforced():
 
 
 def test_unknown_suite_is_an_error():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^unknown suite\(s\): no-such-suite$"):
         oracle.run_suites(["no-such-suite"])
 
 
