@@ -43,11 +43,11 @@ class Context:
 # The type of each constant; for each literal that only checks, the type
 # former it checks against and the word its diagnostics use for it.
 _CONST_TYPES = {
-    **dict.fromkeys((t.Nat, t.Empty, t.Unit, t.Two), v.univ(0)),
-    t.Zero: v.NAT,
-    t.Star: v.UNIT,
-    t.Bit0: v.TWO,
-    t.Bit1: v.TWO,
+    **dict.fromkeys((t.Nat, t.Empty, t.Unit, t.Two), t.univ(0)),
+    t.Zero: t.NAT,
+    t.Star: t.UNIT,
+    t.Bit0: t.TWO,
+    t.Bit1: t.TWO,
 }
 _LITERALS = {t.Lam: (v.VPi, "function"), t.Pair: (v.VSigma, "pair")}
 
@@ -63,7 +63,7 @@ class Checker:
         return printer.print_term(quote(ctx.depth, value), [hint for hint, _ in ctx.entries])
 
     def ensure_universe(self, ctx: Context, value: v.Value, what: str) -> int:
-        if (forced := whnf(value)).__class__ is v.VUniv:
+        if (forced := whnf(value)).__class__ is t.Univ:
             return forced.level
         self.fail("not-a-type", f"{what} has type {self.show(ctx, value)}, expected a universe")
 
@@ -91,14 +91,14 @@ class Checker:
     def _infer_univ(self, ctx: Context, term: t.Univ) -> v.Value:
         if term.level + 1 > (max_level := self.glob.config.max_level):
             self.fail("level-overflow", f"universe U{term.level} exceeds max_level {max_level}")
-        return v.univ(term.level + 1)
+        return t.univ(term.level + 1)
 
     def _infer_quantifier(self, ctx: Context, term: t.Pi | t.Sigma) -> v.Value:
         dom, cod = (getattr(term, field) for field in term.__match_args__)
         dom_v, i = self.infer_type(ctx, dom, "domain")
         cod_ctx = ctx.extend("x", dom_v)
         j = self.ensure_universe(cod_ctx, self.infer(cod_ctx, cod), "codomain")
-        return v.univ(max(i, j))
+        return t.univ(max(i, j))
 
     def _infer_literal(self, ctx: Context, term: t.Lam | t.Pair) -> v.Value:
         self.fail("cannot-infer", f"unannotated {_LITERALS[term.__class__][1]} in inference position")
@@ -121,7 +121,7 @@ class Checker:
         ty_v, level = self.infer_type(ctx, term.ty, "identity-type carrier")
         self.check(ctx, term.lhs, ty_v)
         self.check(ctx, term.rhs, ty_v)
-        return v.univ(level)
+        return t.univ(level)
 
     def _infer_refl(self, ctx: Context, term: t.Refl) -> v.Value:
         arg_ty, arg_v = self.infer(ctx, term.arg), evaluate(ctx.env, term.arg)
@@ -145,21 +145,21 @@ class Checker:
         return v.Closure(ctx.env, term.motive, 1)
 
     def _infer_nat_elim(self, ctx: Context, term: t.NatElim) -> v.Value:
-        motive = self._elim_motive(ctx, term, "n", v.NAT)
-        self.check(ctx, term.base, motive(v.ZERO))
+        motive = self._elim_motive(ctx, term, "n", t.NAT)
+        self.check(ctx, term.base, motive(t.ZERO))
         n = v.fresh(ctx.depth)
-        self.check(ctx.extend("n", v.NAT).extend("ih", motive(n)), term.step, motive(v.VSuc(n)))
+        self.check(ctx.extend("n", t.NAT).extend("ih", motive(n)), term.step, motive(v.VSuc(n)))
         return motive(evaluate(ctx.env, term.target))
 
     def _infer_two_elim(self, ctx: Context, term: t.TwoElim) -> v.Value:
-        motive = self._elim_motive(ctx, term, "b", v.TWO)
-        self.check(ctx, term.if0, motive(v.BIT0))
-        self.check(ctx, term.if1, motive(v.BIT1))
+        motive = self._elim_motive(ctx, term, "b", t.TWO)
+        self.check(ctx, term.if0, motive(t.BIT0))
+        self.check(ctx, term.if1, motive(t.BIT1))
         return motive(evaluate(ctx.env, term.target))
 
     def _infer_suc(self, ctx: Context, term: t.Suc) -> v.Value:
-        self.check(ctx, term.pred, v.NAT)
-        return v.NAT
+        self.check(ctx, term.pred, t.NAT)
+        return t.NAT
 
     def _infer_ann(self, ctx: Context, term: t.Ann) -> v.Value:
         ty_v, _ = self.infer_type(ctx, term.ty, "annotation")
@@ -225,7 +225,7 @@ _INFER = {
     t.Suc: Checker._infer_suc,
     t.NatElim: Checker._infer_nat_elim,
     t.TwoElim: Checker._infer_two_elim,
-    t.EmptyElim: lambda self, ctx, term: self._elim_motive(ctx, term, "e", v.EMPTY)(
+    t.EmptyElim: lambda self, ctx, term: self._elim_motive(ctx, term, "e", t.EMPTY)(
         evaluate(ctx.env, term.target)
     ),
     t.Ann: Checker._infer_ann,

@@ -147,9 +147,9 @@ def _config(args: SimpleNamespace) -> Config:
 
 
 def _read_files(paths: list[str]):
-    """(path, text) of each file, read only when the driver reaches it."""
+    """(path, text) of each file, less a leading byte-order mark, read when the driver reaches it."""
     for path in paths:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             try:
                 text = handle.read()
             except UnicodeDecodeError as exc:

@@ -18,8 +18,8 @@ anything is forced, instantiated or recursed into:
 - `a is b` ends `conv`, `subtype` and `conv_structural`: a value is
   immutable (a glued value's unfolding cache is written once, always with
   the same result), so it equals itself, and subtyping is reflexive.
-  Constants and fresh variables are shared (see `values`), so this also
-  settles two occurrences of `Nat`, `U0` or one bound variable.
+  Constants and fresh variables are shared (see `terms` and `values`), so
+  this also settles two occurrences of `Nat`, `U0` or one bound variable.
 - `spine_eq` skips a pair of identical frames, and two neutrals compare
   their heads by `is` before `==`, for the same reason.
 - `same_closure(c1, c2)`: one body term, one arity and pairwise identical
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from operator import is_
 
+from . import terms as t
 from . import values as v
 from .diagnostics import KernelBug
 from .evaluate import apply, project_fst, project_snd, whnf
@@ -78,7 +79,7 @@ def conv(depth: int, a: v.Value, b: v.Value, ty: v.Value | None = None) -> bool:
         if not conv(depth, fa, project_fst(b), ty.fst_ty):
             return False
         return conv(depth, project_snd(a), project_snd(b), ty.snd_ty(fa))
-    if kind is v.VUnit:
+    if kind is t.Unit:
         return True
     return conv_structural(depth, a, b)
 
@@ -151,14 +152,14 @@ _SAME = {
     v.VNeutral: lambda depth, a, b: (a.head is b.head or a.head == b.head) and spine_eq(depth, a.spine, b.spine),
     v.VLam: _eta_fn,
     v.VPi: lambda depth, a, b: _family_eq(depth, a.dom, a.cod, b.dom, b.cod),
-    v.VUniv: lambda depth, a, b: a.level == b.level,
+    t.Univ: lambda depth, a, b: a.level == b.level,
     v.VSigma: lambda depth, a, b: _family_eq(depth, a.fst_ty, a.snd_ty, b.fst_ty, b.snd_ty),
     v.VPair: _pair_eq,
     v.VId: lambda depth, a, b: conv_structural(depth, a.ty, b.ty)
     and conv_structural(depth, a.lhs, b.lhs) and conv_structural(depth, a.rhs, b.rhs),
     v.VRefl: lambda depth, a, b: conv_structural(depth, a.arg, b.arg),
     v.VSuc: lambda depth, a, b: conv_structural(depth, a.pred, b.pred),
-    **dict.fromkeys((v.VNat, v.VZero, v.VEmpty, v.VUnit, v.VStar, v.VTwo, v.VBit0, v.VBit1), _same_constant),
+    **dict.fromkeys((t.Nat, t.Zero, t.Empty, t.Unit, t.Star, t.Two, t.Bit0, t.Bit1), _same_constant),
 }
 
 
@@ -223,7 +224,7 @@ def subtype(depth: int, a: v.Value, b: v.Value) -> bool:
     wb = whnf(b) if b.__class__ is v.VGlued else b
     kind = wa.__class__
     if kind is wb.__class__:
-        if kind is v.VUniv:
+        if kind is t.Univ:
             return wa.level <= wb.level
         if kind is v.VPi:
             if not conv_structural(depth, wa.dom, wb.dom):

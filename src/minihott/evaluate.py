@@ -3,7 +3,9 @@
 Every step dispatches once on its node's class: `evaluate` looks the term's
 class up in `_EVAL`, `quote` the value's class in `_QUOTE`, and a neutral's
 spine frames are quoted through `_QUOTE_FRAME` and unfolded through
-`_ELIMINATE`, so a step costs the same whatever its class.  The eliminators
+`_ELIMINATE`, so a step costs the same whatever its class.  A universe or
+a closed constant is its own value (see `terms`): its rule returns the
+shared instance, and `quote` gives it back unchanged.  The eliminators
 (`apply`, `project_fst`, ...) test `value.__class__ is C`.  A class missing
 from a table is a `KernelBug`, never a bare `KeyError`.
 """
@@ -45,6 +47,10 @@ def _eval_ref(env: tuple, term: t.Ref) -> v.Value:
         raise KernelBug(f"reference to {term.name} was never linked") from None
 
 
+def _shared(constant: t.Term):
+    return lambda env, term: constant
+
+
 # Recursive steps call `evaluate` by its module name, so a wrapper installed
 # there (a test's memo, say) sees every evaluation.
 _EVAL = {
@@ -53,7 +59,8 @@ _EVAL = {
     t.Ref: _eval_ref,
     t.Lam: lambda env, term: v.VLam(v.Closure(env, term.body)),
     t.Pi: lambda env, term: v.VPi(evaluate(env, term.dom), v.Closure(env, term.cod)),
-    t.Univ: lambda env, term: v.univ(term.level),
+    t.Univ: lambda env, term: t.univ(term.level),
+    **{c.__class__: _shared(c) for c in (t.NAT, t.ZERO, t.TWO, t.BIT0, t.BIT1, t.UNIT, t.STAR, t.EMPTY)},
     t.Sigma: lambda env, term: v.VSigma(evaluate(env, term.fst_ty), v.Closure(env, term.snd_ty)),
     t.Pair: lambda env, term: v.VPair(evaluate(env, term.fst), evaluate(env, term.snd)),
     t.Fst: lambda env, term: project_fst(evaluate(env, term.pair)),
@@ -63,8 +70,6 @@ _EVAL = {
     t.J: lambda env, term: j_elim(
         v.Closure(env, term.motive, 3), v.Closure(env, term.base, 1), evaluate(env, term.path)
     ),
-    t.Nat: lambda env, term: v.NAT,
-    t.Zero: lambda env, term: v.ZERO,
     t.Suc: lambda env, term: v.VSuc(evaluate(env, term.pred)),
     t.NatElim: lambda env, term: nat_elim(
         v.Closure(env, term.motive, 1),
@@ -72,13 +77,7 @@ _EVAL = {
         v.Closure(env, term.step, 2),
         evaluate(env, term.target),
     ),
-    t.Empty: lambda env, term: v.EMPTY,
     t.EmptyElim: lambda env, term: empty_elim(v.Closure(env, term.motive, 1), evaluate(env, term.target)),
-    t.Unit: lambda env, term: v.UNIT,
-    t.Star: lambda env, term: v.STAR,
-    t.Two: lambda env, term: v.TWO,
-    t.Bit0: lambda env, term: v.BIT0,
-    t.Bit1: lambda env, term: v.BIT1,
     t.TwoElim: lambda env, term: two_elim(
         v.Closure(env, term.motive, 1),
         evaluate(env, term.if0),
@@ -127,7 +126,7 @@ def j_elim(motive: v.Closure, base: v.Closure, path: v.Value) -> v.Value:
 
 def nat_elim(motive: v.Closure, base: v.Value, step: v.Closure, target: v.Value) -> v.Value:
     kind = target.__class__
-    if kind is v.VZero:
+    if kind is t.Zero:
         return base
     if kind is v.VSuc:
         return step(target.pred, nat_elim(motive, base, step, target.pred))
@@ -138,9 +137,9 @@ def nat_elim(motive: v.Closure, base: v.Value, step: v.Closure, target: v.Value)
 
 def two_elim(motive: v.Closure, if0: v.Value, if1: v.Value, target: v.Value) -> v.Value:
     kind = target.__class__
-    if kind is v.VBit0:
+    if kind is t.Bit0:
         return if0
-    if kind is v.VBit1:
+    if kind is t.Bit1:
         return if1
     if kind is v.VNeutral or kind is v.VGlued:
         return target.extend(v.TwoElimF(motive, if0, if1))
@@ -201,22 +200,16 @@ _QUOTE = {
     v.VGlued: lambda depth, value: quote(depth, whnf(value)),
     v.VLam: lambda depth, value: t.Lam(quote(depth + 1, value.body(v.fresh(depth)))),
     v.VPi: lambda depth, value: t.Pi(quote(depth, value.dom), quote(depth + 1, value.cod(v.fresh(depth)))),
-    v.VUniv: lambda depth, value: t.Univ(value.level),
     v.VSigma: lambda depth, value: t.Sigma(
         quote(depth, value.fst_ty), quote(depth + 1, value.snd_ty(v.fresh(depth)))
     ),
     v.VPair: lambda depth, value: t.Pair(quote(depth, value.fst), quote(depth, value.snd)),
     v.VId: lambda depth, value: t.Id(quote(depth, value.ty), quote(depth, value.lhs), quote(depth, value.rhs)),
     v.VRefl: lambda depth, value: t.Refl(quote(depth, value.arg)),
-    v.VNat: lambda depth, value: t.Nat(),
-    v.VZero: lambda depth, value: t.Zero(),
     v.VSuc: lambda depth, value: t.Suc(quote(depth, value.pred)),
-    v.VEmpty: lambda depth, value: t.Empty(),
-    v.VUnit: lambda depth, value: t.Unit(),
-    v.VStar: lambda depth, value: t.Star(),
-    v.VTwo: lambda depth, value: t.Two(),
-    v.VBit0: lambda depth, value: t.Bit0(),
-    v.VBit1: lambda depth, value: t.Bit1(),
+    **dict.fromkeys(
+        (t.Univ, t.Nat, t.Zero, t.Empty, t.Unit, t.Star, t.Two, t.Bit0, t.Bit1), lambda depth, value: value
+    ),
 }
 
 

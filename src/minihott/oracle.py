@@ -385,10 +385,10 @@ SUITES = {
 
 
 def run_suites(names: list[str] | None = None, bound: int = DEFAULT_BOUND) -> CheckReport:
-    """Run the named suites (all by default) in declaration order; return
-    the report of the pseudo-file `<oracle>`, one verdict per suite."""
+    """Run the named suites once each, in the order first named (all by
+    default); return the `<oracle>` pseudo-file's report, one verdict per suite."""
     _check_bound(bound)
-    selected = list(SUITES) if names is None else names
+    selected = list(SUITES) if names is None else list(dict.fromkeys(names))
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")

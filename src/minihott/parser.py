@@ -50,13 +50,13 @@ from .records import record
 
 # Each constant's keyword and term; the printer reads its keywords here and in `ELIMS`.
 CONST_TERMS: dict[str, t.Term] = {
-    "Nat": t.Nat(),
-    "Empty": t.Empty(),
-    "Unit": t.Unit(),
-    "Two": t.Two(),
-    "star": t.Star(),
-    "zero2": t.Bit0(),
-    "one2": t.Bit1(),
+    "Nat": t.NAT,
+    "Empty": t.EMPTY,
+    "Unit": t.UNIT,
+    "Two": t.TWO,
+    "star": t.STAR,
+    "zero2": t.BIT0,
+    "one2": t.BIT1,
 }
 
 # Each elimination head's core node and its arguments: None for a plain

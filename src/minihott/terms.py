@@ -6,6 +6,12 @@ variable; `J.motive` binds three (endpoint, endpoint, path); `J.base`,
 `NatElim.step` binds two (predecessor, recursive result).  The surface
 form of each node, its keyword and the binders of each argument, is in
 `parser.ELIMS` and `parser.CONST_TERMS`.
+
+A universe or a closed constant (`Nat`, `0`, `Two`, `star`, ...) holds no
+term, so it is its own value: `evaluate` returns the shared instance of
+its class (`NAT`, ..., `EMPTY` or `univ(level)`, below) and `quote` gives
+it back unchanged.  Conversion's `a is b` then settles two occurrences of
+a constant; a class constructed anew gives an equal term, not the same.
 """
 
 from __future__ import annotations
@@ -174,8 +180,20 @@ class Ann(Term):
     ty: Term
 
 
+# The shared constants.  Universes U0 .. U9 cover every level that a check
+# under the default `Config` (max_level 8) can reach, and one more; `univ`
+# allocates a higher level anew.
+NAT, ZERO, TWO, BIT0, BIT1 = Nat(), Zero(), Two(), Bit0(), Bit1()
+UNIT, STAR, EMPTY = Unit(), Star(), Empty()
+_UNIV = tuple(Univ(level) for level in range(10))
+
+
+def univ(level: int) -> Univ:
+    return _UNIV[level] if 0 <= level < len(_UNIV) else Univ(level)
+
+
 def nat_literal(n: int) -> Term:
-    t: Term = Zero()
+    t: Term = ZERO
     for _ in range(n):
         t = Suc(t)
     return t

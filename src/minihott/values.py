@@ -12,13 +12,9 @@ identity; its one mutable slot, the cached unfolding, is written at most
 once and always with the same result, and nothing writes its other slots
 after construction.
 
-Constants are shared: evaluation and the checker's typing rules return
-the one value of each field-less class (`NAT`, `ZERO`, `TWO`, `BIT0`,
-`BIT1`, `UNIT`, `STAR`, `EMPTY`), the one `FST` and `SND` spine frame,
-and `univ(level)`, which holds one universe per level up to a fixed
-bound.  Conversion's `a is b` test then settles two occurrences of a
-constant without a lookup.  Constructing a class anew still gives an
-equal value, only not an identical one.
+A universe or a closed constant has no class here: the term is its own
+value (see `terms`).  Like the shared constants, the one `FST` and `SND`
+frame and each fresh variable settle conversion's `a is b` test.
 
 A closure needs no `Globals`: each reference in its body is linked to
 the value it evaluates to when its declaration's names are resolved
@@ -47,11 +43,6 @@ class Closure:
     def __call__(self, *args: Value) -> Value:
         assert len(args) == self.arity
         return _evaluate.evaluate(self.env + args, self.body)
-
-
-@record
-class VUniv(Value):
-    level: int
 
 
 @record
@@ -90,48 +81,8 @@ class VRefl(Value):
 
 
 @record
-class VNat(Value):
-    pass
-
-
-@record
-class VZero(Value):
-    pass
-
-
-@record
 class VSuc(Value):
     pred: Value
-
-
-@record
-class VEmpty(Value):
-    pass
-
-
-@record
-class VUnit(Value):
-    pass
-
-
-@record
-class VStar(Value):
-    pass
-
-
-@record
-class VTwo(Value):
-    pass
-
-
-@record
-class VBit0(Value):
-    pass
-
-
-@record
-class VBit1(Value):
-    pass
 
 
 # --- neutral heads and spine frames ---
@@ -221,17 +172,8 @@ class VGlued(Value):
         return VGlued(self.name, self.spine + (frame,), self, frame, None)
 
 
-# The shared constants.  Universes U0 .. U9 cover every level that a check
-# under the default `Config` (max_level 8) can reach, and one more; `univ`
-# allocates a higher level anew.
-NAT, ZERO, TWO, BIT0, BIT1 = VNat(), VZero(), VTwo(), VBit0(), VBit1()
-UNIT, STAR, EMPTY = VUnit(), VStar(), VEmpty()
+# The shared projection frames.
 FST, SND = FstF(), SndF()
-_UNIV = tuple(VUniv(level) for level in range(10))
-
-
-def univ(level: int) -> VUniv:
-    return _UNIV[level] if 0 <= level < len(_UNIV) else VUniv(level)
 
 
 # Fresh variables are shared per level, one object for each binder depth.

@@ -1,16 +1,20 @@
 """Acceptance gate: wall-time budgets for the corpus levels, the oracle
 budget, a ratchet on the kernel's call counts, symbol coverage, the
-mutation suite (no false accepts), and a differential check of lazy
-definition unfolding in conversion."""
+mutation suite (no false accepts), the kernel-mutant table, and a
+differential check of lazy definition unfolding in conversion."""
 
 import importlib
 import json
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 import time
 
 import pytest
 
-from conftest import CorpusRun
+from conftest import CorpusRun, check_one
 
 from minihott import checker, conversion, oracle
 from minihott import evaluate as evaluation
@@ -18,6 +22,7 @@ from minihott import terms as t
 from minihott.corpus.manifest import emit_corpus, missing_symbols
 from minihott.pipeline import run_deep
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 PRELUDE_AND_GENERIC = ["prelude/", "generic/"]
 
 # About 4x the worst in-process time of 24 runs inside a tier-1 session
@@ -210,6 +215,67 @@ def test_mutation_degenerate_commutation_witness_is_rejected():
     )
     assert run.status_of("selfCommuter") == "rejected"
     assert first_rejection(run, "30-commuting-loops.hott") == "selfCommuter"
+
+
+# --- criterion: every kernel mutant below is killed ---
+
+# name -> (module, anchor, replacement, killer, accepted by the kernel).
+# Each anchor occurs exactly once in its module; the mutant must turn the
+# killer's verdict, and so the exit code of `check`, the other way.
+KERNEL_MUTANTS = {
+    "nat-elim-zero-case": (
+        "evaluate.py",
+        "if kind is t.Zero:\n        return base\n",
+        "if kind is t.Zero:\n        return step(target, base)\n",
+        "goal g : Id Nat (natElim (fun _ => Nat) 1 (fun k ih => 0) 0) 1 := refl 1", True,
+    ),
+    "two-elim-one2-case": (
+        "evaluate.py", "if kind is t.Bit1:\n        return if1\n", "if kind is t.Bit1:\n        return if0\n",
+        "goal g : Id Nat (twoElim (fun _ => Nat) 0 1 one2) 1 := refl 1", True,
+    ),
+    "conv-without-unit-eta": (
+        "conversion.py", "    if kind is t.Unit:\n        return True\n", "",
+        "goal g : (x y : Unit) -> Id Unit x y := fun x y => refl x", True,
+    ),
+    "same-universe-any-level": (
+        "conversion.py", "t.Univ: lambda depth, a, b: a.level == b.level,", "t.Univ: lambda depth, a, b: True,",
+        "def bad : Id U2 U0 U1 := refl U0", False,
+    ),
+    "subtype-levels-reversed": (
+        "conversion.py", "return wa.level <= wb.level", "return wa.level >= wb.level",
+        "def bad : U0 := U1", False,
+    ),
+    "quantifier-in-domain-universe": (
+        "checker.py", "return t.univ(max(i, j))", "return t.univ(i)",
+        "def bad : U0 := Nat -> U0", False,
+    ),
+    "identity-type-in-u0": (
+        "checker.py", "return t.univ(level)\n", "return t.univ(0)\n",
+        "def bad : U0 := Id U0 Nat Nat", False,
+    ),
+    "zero-typed-as-two": (
+        "checker.py", "t.Zero: t.NAT,", "t.Zero: t.TWO,",
+        "def bad : Two := 0", False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_MUTANTS)
+def test_kernel_mutant_is_killed(tmp_path, name):
+    module, old, new, killer, accepted = KERNEL_MUTANTS[name]
+    assert check_one(killer).ok == accepted
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "minihott" / module
+    text = path.read_text()
+    assert text.count(old) == 1, "mutation anchor drifted"
+    path.write_text(text.replace(old, new))
+    (tmp_path / "killer.hott").write_text(killer + "\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "minihott", "check", "killer.hott"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == (1 if accepted else 0), done.stdout + done.stderr
 
 
 # --- criterion: lazy unfolding answers every conversion query as eager

@@ -133,6 +133,23 @@ def test_a_file_that_is_not_utf8_names_itself(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+def test_a_leading_byte_order_mark_is_not_part_of_the_source(tmp_path, capsys):
+    """A file that starts with a UTF-8 byte-order mark reports as its copy
+    without one, the rejection's span included."""
+    plain = write(tmp_path, "plain.hott", GOOD + BAD)
+    marked = tmp_path / "marked.hott"
+    marked.write_bytes(b"\xef\xbb\xbf" + (GOOD + BAD).encode())
+    reports = []
+    for path in (plain, str(marked)):
+        code, payload = check_json(["check", path], capsys)
+        assert code == EXIT_REJECTED
+        [report] = without_ms(payload)["reports"]
+        assert report.pop("file") == path
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["declarations"][1]["diagnostic"]["span"] is not None
+
+
 def test_exhausted_stack_is_an_internal_error_without_traceback(tmp_path):
     # A unary numeral this large recurses past the raised recursion limit.
     path = write(tmp_path, "big.hott", "def n : Nat := 200000\n")
@@ -450,6 +467,16 @@ def test_oracle_suite_subset_runs_only_selected(capsys):
     code, payload = check_json(["oracle", "--suite", "groupoid-laws"], capsys)
     assert code == EXIT_OK
     assert [d["name"] for d in payload["declarations"]] == ["groupoid-laws"]
+
+
+def test_oracle_suite_named_twice_runs_once(capsys):
+    twice = ["oracle", "--suite", "groupoid-laws", "--suite", "enumeration", "--suite", "groupoid-laws"]
+    code, payload = check_json(twice, capsys)
+    assert code == EXIT_OK
+    assert [d["name"] for d in payload["declarations"]] == ["groupoid-laws", "enumeration"]
+    assert main(twice) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["pass groupoid-laws", "pass enumeration"]
 
 
 def test_oracle_unknown_suite_exits_two(capsys):
@@ -911,6 +938,11 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
     killers_path = tmp_path / "killers.hott"
     renamed = (source.replace("def bad ", f"def bad{i} ") for i, (source, _) in enumerate(killers))
     killers_path.write_text("\n".join(renamed))
+    # closed constants and universes, quoted as their own values
+    constants_path = tmp_path / "constants.hott"
+    constants_path.write_text(
+        "def k : Two -> (Nat * Unit) * U1 := fun b => ((twoElim (fun _ => Nat) 2 0 b, star), Empty -> U0)\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
     def output(python, args) -> tuple[int, str, str]:
@@ -937,6 +969,7 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
         (["check", "--no-eta-sigma", prelude, prelude.replace("01-path-algebra", "02-pair-paths")], EXIT_REJECTED),
         # a printed normal form: Pi, lambdas, J, Id and refl
         (["normalize", prelude, "--name", "transportLoop"], EXIT_OK),
+        (["normalize", str(constants_path), "--name", "k"], EXIT_OK),
         (["oracle"], EXIT_OK),
         # the Cayley table's whole rows, 1.7 M cases
         (["oracle", "--suite", "groupoid-laws", "--bound", "5"], EXIT_OK),
@@ -944,6 +977,8 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
     ]
     [rejected] = json.loads(report(sys.executable, ["check", str(killers_path)])[1])["reports"]
     assert [d["diagnostic"]["code"] for d in rejected["declarations"]] == [code for _, code in killers]
+    normal = json.loads(report(sys.executable, ["normalize", str(constants_path), "--name", "k"])[1])["normal_form"]
+    assert normal == "fun x0 => ((twoElim (fun x1 => Nat) 2 0 x0, star), Empty -> U0)"
     for args, code in runs:
         expected = report(sys.executable, args)
         assert expected[0] == code

@@ -93,13 +93,13 @@ def test_an_unlinked_reference_is_a_kernel_bug():
 
 def test_the_link_of_a_reference_is_not_a_field():
     first, second = t.Ref("a"), t.Ref("a")
-    t.Linked.target.__set__(first, v.VZero())
-    t.Linked.target.__set__(second, v.VNat())
+    t.Linked.target.__set__(first, t.Zero())
+    t.Linked.target.__set__(second, t.Nat())
     assert first == second and hash(first) == hash(second)
     assert repr(first) == repr(second) == "Ref(name='a')"
     with pytest.raises(AttributeError):
-        first.target = v.VNat()
-    assert evaluate((), first) == v.VZero()
+        first.target = t.Nat()
+    assert evaluate((), first) == t.Zero()
 
 
 def test_normalize_is_idempotent_on_samples():
@@ -474,42 +474,45 @@ def test_normal_forms_match_the_recorded_ones():
 def test_constants_are_shared():
     assert evaluate((), t.Nat()) is evaluate((), t.Nat())
     for term, value in (
-        (t.Nat(), v.NAT), (t.Zero(), v.ZERO), (t.Two(), v.TWO), (t.Bit0(), v.BIT0), (t.Bit1(), v.BIT1),
-        (t.Unit(), v.UNIT), (t.Star(), v.STAR), (t.Empty(), v.EMPTY), (t.Univ(0), v.univ(0)),
+        (t.Nat(), t.NAT), (t.Zero(), t.ZERO), (t.Two(), t.TWO), (t.Bit0(), t.BIT0), (t.Bit1(), t.BIT1),
+        (t.Unit(), t.UNIT), (t.Star(), t.STAR), (t.Empty(), t.EMPTY), (t.Univ(0), t.univ(0)),
     ):
         assert evaluate((), term) is value
-    assert Checker(Globals()).infer(Context(), t.Nat()) is v.univ(0)
-    assert Checker(Globals()).infer(Context(), t.Zero()) is v.NAT
+    assert Checker(Globals()).infer(Context(), t.Nat()) is t.univ(0)
+    assert Checker(Globals()).infer(Context(), t.Zero()) is t.NAT
     pair = v.fresh(0)
     assert project_fst(pair).spine[-1] is v.FST and project_snd(pair).spine[-1] is v.SND
     # one universe per level a default check reaches, and one more; above
     # that bound a universe is allocated anew
     top = DEFAULT_MAX_LEVEL + 1
-    assert evaluate((), t.Univ(top)) is v.univ(top) == v.VUniv(top)
-    assert v.univ(top + 1) is not v.univ(top + 1) and v.univ(top + 1) == v.VUniv(top + 1)
+    assert evaluate((), t.Univ(top)) is t.univ(top) == t.Univ(top)
+    assert t.univ(top + 1) is not t.univ(top + 1) and t.univ(top + 1) == t.Univ(top + 1)
+    # a constant or a universe is its own value, and quotes to itself
+    for value in (t.NAT, t.ZERO, t.TWO, t.BIT0, t.BIT1, t.UNIT, t.STAR, t.EMPTY, *map(t.univ, range(top + 2))):
+        assert quote(0, value) is value
 
 
 def test_closures_with_equal_but_not_identical_captures_are_evaluated(monkeypatch):
     body = t.Suc(t.Var(1))  # one captured value, one bound
-    c1, c2 = (v.Closure((v.VSuc(v.ZERO),), body) for _ in range(2))
+    c1, c2 = (v.Closure((v.VSuc(t.ZERO),), body) for _ in range(2))
     assert c1 == c2 and c1.env[0] is not c2.env[0]
     assert not conversion.same_closure(c1, c2)
     calls, evaluate_ = [], evaluation.evaluate
     monkeypatch.setattr(evaluation, "evaluate", lambda env, term: calls.append(term) or evaluate_(env, term))
     assert conversion.closure_eq(0, c1, c2)
-    assert subtype(0, v.VPi(v.NAT, c1), v.VPi(v.NAT, c2))
+    assert subtype(0, v.VPi(t.NAT, c1), v.VPi(t.NAT, c2))
     assert len(calls) > 0
     # identical captures in another tuple settle both without evaluating
     c3 = v.Closure((c1.env[0],), body)
     calls.clear()
     assert conversion.same_closure(c1, c3)
     assert conversion.closure_eq(0, c1, c3)
-    assert subtype(0, v.VSigma(v.NAT, c1), v.VSigma(v.NAT, c3))
+    assert subtype(0, v.VSigma(t.NAT, c1), v.VSigma(t.NAT, c3))
     assert calls == []
 
 
 def test_closures_of_different_arities_never_match():
-    env = (v.NAT,)
+    env = (t.NAT,)
     one, two = v.Closure(env, t.Nat(), 1), v.Closure(env, t.Nat(), 2)
     assert not conversion.same_closure(one, two) and not conversion.same_closure(two, one)
     assert not conversion.closure_eq(0, one, two)
@@ -549,7 +552,10 @@ def records_of(module, base=object) -> set:
     }
 
 
-VALUE_CLASSES = {c for c in vars(v).values() if isinstance(c, type) and issubclass(c, v.Value)} - {v.Value}
+# A universe or a closed constant is its own value.
+VALUE_CLASSES = ({c for c in vars(v).values() if isinstance(c, type) and issubclass(c, v.Value)} - {v.Value}) | {
+    t.Univ, t.Nat, t.Zero, t.Empty, t.Unit, t.Star, t.Two, t.Bit0, t.Bit1
+}
 FRAME_CLASSES = records_of(v) - records_of(v, v.Value) - {v.Closure, v.VVar, v.VAxiom}
 
 
@@ -580,7 +586,7 @@ def test_a_class_without_a_rule_is_a_kernel_bug():
     for fail in (
         lambda: evaluate((), StrayTerm()),
         lambda: Checker(Globals()).infer(Context(), StrayTerm()),
-        lambda: Checker(Globals()).check(Context(), StrayTerm(), v.VNat()),
+        lambda: Checker(Globals()).check(Context(), StrayTerm(), t.Nat()),
         lambda: print_term(StrayTerm()),
         lambda: print_term(t.Pi(t.Nat(), StrayTerm())),
         lambda: quote(0, StrayValue()),
@@ -627,7 +633,7 @@ def conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> b
         ) and conv_structural(depth, project_snd(a), project_snd(b), eta_sigma=eta_sigma)
 
     match (a, b):
-        case (v.VUniv(i), v.VUniv(j)):
+        case (t.Univ(i), t.Univ(j)):
             return i == j
         case (v.VPi(d1, c1), v.VPi(d2, c2)) | (v.VSigma(d1, c1), v.VSigma(d2, c2)):
             if not conv_structural(depth, d1, d2, eta_sigma=eta_sigma):
@@ -651,14 +657,14 @@ def conv_structural(depth: int, a: v.Value, b: v.Value, *, eta_sigma: bool) -> b
         case (v.VNeutral(h1, s1), v.VNeutral(h2, s2)):
             return h1 == h2 and spine_eq(depth, s1, s2, eta_sigma=eta_sigma)
         case (
-            (v.VNat(), v.VNat())
-            | (v.VZero(), v.VZero())
-            | (v.VEmpty(), v.VEmpty())
-            | (v.VUnit(), v.VUnit())
-            | (v.VStar(), v.VStar())
-            | (v.VTwo(), v.VTwo())
-            | (v.VBit0(), v.VBit0())
-            | (v.VBit1(), v.VBit1())
+            (t.Nat(), t.Nat())
+            | (t.Zero(), t.Zero())
+            | (t.Empty(), t.Empty())
+            | (t.Unit(), t.Unit())
+            | (t.Star(), t.Star())
+            | (t.Two(), t.Two())
+            | (t.Bit0(), t.Bit0())
+            | (t.Bit1(), t.Bit1())
         ):
             return True
         case _:
@@ -763,7 +769,7 @@ def mixed_class_cases():
     const_zero = v.VLam(v.Closure((), t.Zero()))
     eta_p = v.VPair(project_fst(p), project_snd(p))  # (fst p, snd p)
     swapped = v.VPair(project_snd(p), project_fst(p))
-    nat_to_nat = v.VPi(v.VNat(), v.Closure((), t.Nat()))
+    nat_to_nat = v.VPi(t.Nat(), v.Closure((), t.Nat()))
     return {
         "lambda-against-neutral": (eta_f, f, 1, True, True),
         "neutral-against-lambda": (f, eta_f, 1, True, True),
@@ -771,8 +777,8 @@ def mixed_class_cases():
         "pair-against-neutral": (eta_p, p, 1, True, False),
         "neutral-against-pair": (p, eta_p, 1, True, False),
         "other-pair-against-neutral": (swapped, p, 1, False, False),
-        "pair-against-nat": (eta_p, v.VNat(), 1, False, False),
-        "universe-against-pi": (v.VUniv(0), nat_to_nat, 0, False, False),
+        "pair-against-nat": (eta_p, t.Nat(), 1, False, False),
+        "universe-against-pi": (t.Univ(0), nat_to_nat, 0, False, False),
     }
 
 
@@ -816,12 +822,12 @@ class MatchChecker(Checker):
                         "level-overflow",
                         f"universe U{level} exceeds max_level {self.glob.config.max_level}",
                     )
-                return v.VUniv(level + 1)
+                return t.Univ(level + 1)
             case t.Pi(dom, cod) | t.Sigma(dom, cod):
                 dom_v, i = self.infer_type(ctx, dom, "domain")
                 cod_ctx = ctx.extend("x", dom_v)
                 j = self.ensure_universe(cod_ctx, self.infer(cod_ctx, cod), "codomain")
-                return v.VUniv(max(i, j))
+                return t.Univ(max(i, j))
             case t.Lam(_):
                 self.fail("cannot-infer", "unannotated function in inference position")
             case t.Pair(_, _):
@@ -849,7 +855,7 @@ class MatchChecker(Checker):
                 ty_v, level = self.infer_type(ctx, ty, "identity-type carrier")
                 self.check(ctx, lhs, ty_v)
                 self.check(ctx, rhs, ty_v)
-                return v.VUniv(level)
+                return t.Univ(level)
             case t.Refl(arg):
                 arg_ty = self.infer(ctx, arg)
                 arg_v = self.eval_in(ctx, arg)
@@ -857,31 +863,31 @@ class MatchChecker(Checker):
             case t.J(motive, base, path):
                 return self.infer_j(ctx, motive, base, path)
             case t.Nat() | t.Empty() | t.Unit() | t.Two():
-                return v.VUniv(0)
+                return t.Univ(0)
             case t.Zero():
-                return v.VNat()
+                return t.Nat()
             case t.Suc(pred):
-                self.check(ctx, pred, v.VNat())
-                return v.VNat()
+                self.check(ctx, pred, t.Nat())
+                return t.Nat()
             case t.NatElim(motive, base, step, target):
                 return self.infer_nat_elim(ctx, motive, base, step, target)
             case t.EmptyElim(motive, target):
-                self.check(ctx, target, v.VEmpty())
-                motive_ctx = ctx.extend("e", v.VEmpty())
+                self.check(ctx, target, t.Empty())
+                motive_ctx = ctx.extend("e", t.Empty())
                 self.infer_type(motive_ctx, motive, "motive")
                 cl = v.Closure(ctx.env, motive, 1)
                 return cl(self.eval_in(ctx, target))
             case t.Star():
-                return v.VUnit()
+                return t.Unit()
             case t.Bit0() | t.Bit1():
-                return v.VTwo()
+                return t.Two()
             case t.TwoElim(motive, if0, if1, target):
-                self.check(ctx, target, v.VTwo())
-                motive_ctx = ctx.extend("b", v.VTwo())
+                self.check(ctx, target, t.Two())
+                motive_ctx = ctx.extend("b", t.Two())
                 self.infer_type(motive_ctx, motive, "motive")
                 cl = v.Closure(ctx.env, motive, 1)
-                self.check(ctx, if0, cl(v.VBit0()))
-                self.check(ctx, if1, cl(v.VBit1()))
+                self.check(ctx, if0, cl(t.Bit0()))
+                self.check(ctx, if1, cl(t.Bit1()))
                 return cl(self.eval_in(ctx, target))
             case t.Ref(name):
                 # `Resolver.resolve` has rejected every unknown or rejected name
@@ -909,13 +915,13 @@ class MatchChecker(Checker):
         return motive_cl(path_ty.lhs, path_ty.rhs, self.eval_in(ctx, path))
 
     def infer_nat_elim(self, ctx: Context, motive, base, step, target) -> v.Value:
-        self.check(ctx, target, v.VNat())
-        motive_ctx = ctx.extend("n", v.VNat())
+        self.check(ctx, target, t.Nat())
+        motive_ctx = ctx.extend("n", t.Nat())
         self.infer_type(motive_ctx, motive, "motive")
         cl = v.Closure(ctx.env, motive, 1)
-        self.check(ctx, base, cl(v.VZero()))
+        self.check(ctx, base, cl(t.Zero()))
         n_var = v.fresh(ctx.depth)
-        step_ctx = ctx.extend("n", v.VNat()).extend("ih", cl(n_var))
+        step_ctx = ctx.extend("n", t.Nat()).extend("ih", cl(n_var))
         self.check(step_ctx, step, cl(v.VSuc(n_var)))
         return cl(self.eval_in(ctx, target))
 

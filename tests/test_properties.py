@@ -8,6 +8,7 @@ from conftest import core_term, without_ms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minihott import terms as t
 from minihott import values as v
 from minihott.conversion import conv
 from minihott.corpus.manifest import emit_corpus
@@ -127,11 +128,11 @@ def constructor_headed(value: v.Value, ty) -> bool:
         case ("Nat",):
             while isinstance(value, v.VSuc):
                 value = value.pred
-            return isinstance(value, v.VZero)
+            return isinstance(value, t.Zero)
         case ("Two",):
-            return isinstance(value, (v.VBit0, v.VBit1))
+            return isinstance(value, (t.Bit0, t.Bit1))
         case ("Unit",):
-            return isinstance(value, v.VStar)
+            return isinstance(value, t.Star)
         case ("fun", _, _):
             return isinstance(value, v.VLam)
         case ("pair", a, b):
