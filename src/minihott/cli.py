@@ -149,9 +149,10 @@ def _config(args: SimpleNamespace) -> Config:
 def _read_files(paths: list[str]):
     """(path, text) of each file, less a leading byte-order mark, read when the driver reaches it."""
     for path in paths:
-        with open(path, encoding="utf-8-sig") as handle:
+        # The mark is dropped after decoding, so that a decode error names its byte's offset in the file.
+        with open(path, encoding="utf-8") as handle:
             try:
-                text = handle.read()
+                text = handle.read().removeprefix("\ufeff")
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}: {exc}") from None
         yield path, text

@@ -5,8 +5,10 @@
 same-definition glued values, unfolds both sides, and then makes one
 lookup: two values of one class go to their rule in `_SAME`, and of the
 mixed pairs only a lambda (η for Π) or a pair against a neutral (η for Σ)
-can be equal.  `spine_eq` looks up each pair of frames in `_FRAME_EQ`.
-A class missing from a table is a `KernelBug`.
+can be equal.  `spine_eq` compares two frames by their nodes, with `is`,
+and then their fields pairwise in order (see `values`): `closure_eq` for
+a `Closure` field, `conv_structural` for any other.  A class missing from
+`_SAME` is a `KernelBug`.
 
 η for Σ is the run's setting `eta_sigma`, read at call time by the Σ branch
 of `conv` and the pair-against-neutral rule.  `pipeline.check_files` sets
@@ -141,7 +143,7 @@ def _family_eq(depth: int, d1: v.Value, c1: v.Closure, d2: v.Value, c2: v.Closur
 
 
 def _same_constant(depth: int, a, b) -> bool:
-    """Two values, or two spine frames, of a class without fields."""
+    """Two values of a class without fields."""
     return True
 
 
@@ -182,35 +184,22 @@ def closure_eq(depth: int, c1: v.Closure, c2: v.Closure) -> bool:
 
 
 def spine_eq(depth: int, s1: tuple, s2: tuple) -> bool:
+    """Frame by frame: the same eliminator, then its fields pairwise in order."""
     if len(s1) != len(s2):
         return False
     for f1, f2 in zip(s1, s2):
         if f1 is f2:
             continue
-        kind = f1.__class__
-        if kind is not f2.__class__:
+        if f1[0] is not f2[0]:
             return False
-        try:
-            rule = _FRAME_EQ[kind]
-        except KeyError:
-            raise KernelBug("bad spine frame") from None
-        if not rule(depth, f1, f2):
-            return False
+        for i in range(1, len(f1)):
+            a, b = f1[i], f2[i]
+            if a.__class__ is v.Closure:
+                if not closure_eq(depth, a, b):
+                    return False
+            elif not conv_structural(depth, a, b):
+                return False
     return True
-
-
-# Two spine frames of one class.
-_FRAME_EQ = {
-    v.AppF: lambda depth, f1, f2: conv_structural(depth, f1.arg, f2.arg),
-    v.FstF: _same_constant,
-    v.SndF: _same_constant,
-    v.JF: lambda depth, f1, f2: closure_eq(depth, f1.motive, f2.motive) and closure_eq(depth, f1.base, f2.base),
-    v.NatElimF: lambda depth, f1, f2: closure_eq(depth, f1.motive, f2.motive)
-    and conv_structural(depth, f1.base, f2.base) and closure_eq(depth, f1.step, f2.step),
-    v.TwoElimF: lambda depth, f1, f2: closure_eq(depth, f1.motive, f2.motive)
-    and conv_structural(depth, f1.if0, f2.if0) and conv_structural(depth, f1.if1, f2.if1),
-    v.EmptyElimF: lambda depth, f1, f2: closure_eq(depth, f1.motive, f2.motive),
-}
 
 
 def subtype(depth: int, a: v.Value, b: v.Value) -> bool:

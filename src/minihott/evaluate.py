@@ -1,13 +1,16 @@
 """Evaluation into the semantic domain and quotation back to terms.
 
 Every step dispatches once on its node's class: `evaluate` looks the term's
-class up in `_EVAL`, `quote` the value's class in `_QUOTE`, and a neutral's
-spine frames are quoted through `_QUOTE_FRAME` and unfolded through
-`_ELIMINATE`, so a step costs the same whatever its class.  A universe or
-a closed constant is its own value (see `terms`): its rule returns the
-shared instance, and `quote` gives it back unchanged.  The eliminators
-(`apply`, `project_fst`, ...) test `value.__class__ is C`.  A class missing
-from a table is a `KernelBug`, never a bare `KeyError`.
+class up in `_EVAL`, `quote` the value's class in `_QUOTE`, and a glued
+value's frame is unfolded by its node's eliminator in `_ELIMINATE`, so a
+step costs the same whatever its class.  A universe or a closed constant
+is its own value (see `terms`): its rule returns the shared instance, and
+`quote` gives it back unchanged.  The eliminators (`apply`, `j_elim`, ...)
+take their target first and then a frame's fields (see `values`), and test
+`value.__class__ is C`.  `quote_neutral` builds a frame's node from its
+quoted fields, a `Closure` through `quote_closure`, and the quoted target.
+A class missing from a table, or a node without an eliminator, is a
+`KernelBug`, never a bare `KeyError`.
 """
 
 from __future__ import annotations
@@ -68,21 +71,18 @@ _EVAL = {
     t.Id: lambda env, term: v.VId(evaluate(env, term.ty), evaluate(env, term.lhs), evaluate(env, term.rhs)),
     t.Refl: lambda env, term: v.VRefl(evaluate(env, term.arg)),
     t.J: lambda env, term: j_elim(
-        v.Closure(env, term.motive, 3), v.Closure(env, term.base, 1), evaluate(env, term.path)
+        evaluate(env, term.path), v.Closure(env, term.motive, 3), v.Closure(env, term.base, 1)
     ),
     t.Suc: lambda env, term: v.VSuc(evaluate(env, term.pred)),
     t.NatElim: lambda env, term: nat_elim(
+        evaluate(env, term.target),
         v.Closure(env, term.motive, 1),
         evaluate(env, term.base),
         v.Closure(env, term.step, 2),
-        evaluate(env, term.target),
     ),
-    t.EmptyElim: lambda env, term: empty_elim(v.Closure(env, term.motive, 1), evaluate(env, term.target)),
+    t.EmptyElim: lambda env, term: empty_elim(evaluate(env, term.target), v.Closure(env, term.motive, 1)),
     t.TwoElim: lambda env, term: two_elim(
-        v.Closure(env, term.motive, 1),
-        evaluate(env, term.if0),
-        evaluate(env, term.if1),
-        evaluate(env, term.target),
+        evaluate(env, term.target), v.Closure(env, term.motive, 1), evaluate(env, term.if0), evaluate(env, term.if1)
     ),
     t.Ann: lambda env, term: evaluate(env, term.term),
 }
@@ -93,7 +93,7 @@ def apply(fn: v.Value, arg: v.Value) -> v.Value:
     if kind is v.VLam:
         return fn.body(arg)
     if kind is v.VNeutral or kind is v.VGlued:
-        return fn.extend(v.AppF(arg))
+        return fn.extend((t.App, arg))
     raise KernelBug(f"apply of non-function value {kind.__name__}")
 
 
@@ -115,41 +115,41 @@ def project_snd(pair: v.Value) -> v.Value:
     raise KernelBug("snd of non-pair value")
 
 
-def j_elim(motive: v.Closure, base: v.Closure, path: v.Value) -> v.Value:
+def j_elim(path: v.Value, motive: v.Closure, base: v.Closure) -> v.Value:
     kind = path.__class__
     if kind is v.VRefl:
         return base(path.arg)
     if kind is v.VNeutral or kind is v.VGlued:
-        return path.extend(v.JF(motive, base))
+        return path.extend((t.J, motive, base))
     raise KernelBug("J applied to non-path value")
 
 
-def nat_elim(motive: v.Closure, base: v.Value, step: v.Closure, target: v.Value) -> v.Value:
+def nat_elim(target: v.Value, motive: v.Closure, base: v.Value, step: v.Closure) -> v.Value:
     kind = target.__class__
     if kind is t.Zero:
         return base
     if kind is v.VSuc:
-        return step(target.pred, nat_elim(motive, base, step, target.pred))
+        return step(target.pred, nat_elim(target.pred, motive, base, step))
     if kind is v.VNeutral or kind is v.VGlued:
-        return target.extend(v.NatElimF(motive, base, step))
+        return target.extend((t.NatElim, motive, base, step))
     raise KernelBug("natElim applied to non-numeral value")
 
 
-def two_elim(motive: v.Closure, if0: v.Value, if1: v.Value, target: v.Value) -> v.Value:
+def two_elim(target: v.Value, motive: v.Closure, if0: v.Value, if1: v.Value) -> v.Value:
     kind = target.__class__
     if kind is t.Bit0:
         return if0
     if kind is t.Bit1:
         return if1
     if kind is v.VNeutral or kind is v.VGlued:
-        return target.extend(v.TwoElimF(motive, if0, if1))
+        return target.extend((t.TwoElim, motive, if0, if1))
     raise KernelBug("twoElim applied to non-boolean value")
 
 
-def empty_elim(motive: v.Closure, target: v.Value) -> v.Value:
+def empty_elim(target: v.Value, motive: v.Closure) -> v.Value:
     kind = target.__class__
     if kind is v.VNeutral or kind is v.VGlued:
-        return target.extend(v.EmptyElimF(motive))
+        return target.extend((t.EmptyElim, motive))
     raise KernelBug("emptyElim applied to a closed value")
 
 
@@ -165,22 +165,22 @@ def whnf(value: v.Value) -> v.Value:
     return value
 
 
-def _eliminate(value: v.Value, frame) -> v.Value:
+def _eliminate(value: v.Value, frame: tuple) -> v.Value:
     try:
-        rule = _ELIMINATE[frame.__class__]
+        eliminator = _ELIMINATE[frame[0]]
     except KeyError:
         raise KernelBug("bad spine frame") from None
-    return rule(value, frame)
+    return eliminator(value, *frame[1:])
 
 
 _ELIMINATE = {
-    v.AppF: lambda value, frame: apply(value, frame.arg),
-    v.FstF: lambda value, frame: project_fst(value),
-    v.SndF: lambda value, frame: project_snd(value),
-    v.JF: lambda value, frame: j_elim(frame.motive, frame.base, value),
-    v.NatElimF: lambda value, frame: nat_elim(frame.motive, frame.base, frame.step, value),
-    v.TwoElimF: lambda value, frame: two_elim(frame.motive, frame.if0, frame.if1, value),
-    v.EmptyElimF: lambda value, frame: empty_elim(frame.motive, value),
+    t.App: apply,
+    t.Fst: project_fst,
+    t.Snd: project_snd,
+    t.J: j_elim,
+    t.NatElim: nat_elim,
+    t.TwoElim: two_elim,
+    t.EmptyElim: empty_elim,
 }
 
 
@@ -228,30 +228,15 @@ def quote_neutral(depth: int, head, spine: tuple) -> t.Term:
     else:
         raise KernelBug("bad neutral head")
     for frame in spine:
-        try:
-            rule = _QUOTE_FRAME[frame.__class__]
-        except KeyError:
-            raise KernelBug("bad spine frame") from None
-        term = rule(depth, frame, term)
+        node = frame[0]
+        if node is t.App:  # the commonest frame, and the one whose target is the term's first field
+            term = t.App(term, quote(depth, frame[1]))
+        elif node in _ELIMINATE:
+            fields = [quote_closure(depth, f) if f.__class__ is v.Closure else quote(depth, f) for f in frame[1:]]
+            term = node(*fields, term)
+        else:
+            raise KernelBug("bad spine frame")
     return term
-
-
-# Each rule wraps the quoted neutral `term` in the frame's eliminator.
-_QUOTE_FRAME = {
-    v.AppF: lambda depth, frame, term: t.App(term, quote(depth, frame.arg)),
-    v.FstF: lambda depth, frame, term: t.Fst(term),
-    v.SndF: lambda depth, frame, term: t.Snd(term),
-    v.JF: lambda depth, frame, term: t.J(
-        quote_closure(depth, frame.motive), quote_closure(depth, frame.base), term
-    ),
-    v.NatElimF: lambda depth, frame, term: t.NatElim(
-        quote_closure(depth, frame.motive), quote(depth, frame.base), quote_closure(depth, frame.step), term
-    ),
-    v.TwoElimF: lambda depth, frame, term: t.TwoElim(
-        quote_closure(depth, frame.motive), quote(depth, frame.if0), quote(depth, frame.if1), term
-    ),
-    v.EmptyElimF: lambda depth, frame, term: t.EmptyElim(quote_closure(depth, frame.motive), term),
-}
 
 
 def normalize(env: tuple, term: t.Term) -> t.Term:

@@ -12,6 +12,11 @@ identity; its one mutable slot, the cached unfolding, is written at most
 once and always with the same result, and nothing writes its other slots
 after construction.
 
+A spine frame is the tuple `(node, *fields)`: `node` is the eliminator's
+term class (`App`, `Fst`, `J`, ...) and the fields are that term's other
+fields in its order, one that binds variables as a `Closure`.  Only the
+eliminators in `evaluate` build a frame.
+
 A universe or a closed constant has no class here: the term is its own
 value (see `terms`).  Like the shared constants, the one `FST` and `SND`
 frame and each fresh variable settle conversion's `a is b` test.
@@ -25,7 +30,7 @@ values and the terms they hold form no reference cycle.
 from __future__ import annotations
 
 from .records import record
-from .terms import Term
+from . import terms as t
 
 
 class Value:
@@ -37,7 +42,7 @@ class Closure:
     """A term body of `arity` binders over a captured environment."""
 
     env: tuple  # tuple[Value, ...], innermost binder last
-    body: Term
+    body: t.Term
     arity: int = 1
 
     def __call__(self, *args: Value) -> Value:
@@ -85,7 +90,7 @@ class VSuc(Value):
     pred: Value
 
 
-# --- neutral heads and spine frames ---
+# --- neutral heads ---
 
 
 @record
@@ -96,46 +101,6 @@ class VVar:
 @record
 class VAxiom:
     name: str
-
-
-@record
-class AppF:
-    arg: Value
-
-
-@record
-class FstF:
-    pass
-
-
-@record
-class SndF:
-    pass
-
-
-@record
-class JF:
-    motive: Closure  # arity 3
-    base: Closure  # arity 1
-
-
-@record
-class NatElimF:
-    motive: Closure  # arity 1
-    base: Value
-    step: Closure  # arity 2
-
-
-@record
-class TwoElimF:
-    motive: Closure  # arity 1
-    if0: Value
-    if1: Value
-
-
-@record
-class EmptyElimF:
-    motive: Closure  # arity 1
 
 
 @record
@@ -173,7 +138,7 @@ class VGlued(Value):
 
 
 # The shared projection frames.
-FST, SND = FstF(), SndF()
+FST, SND = (t.Fst,), (t.Snd,)
 
 
 # Fresh variables are shared per level, one object for each binder depth.

@@ -257,6 +257,16 @@ KERNEL_MUTANTS = {
         "checker.py", "t.Zero: t.NAT,", "t.Zero: t.TWO,",
         "def bad : Two := 0", False,
     ),
+    "spine-motives-not-compared": (
+        "conversion.py", "if not closure_eq(depth, a, b):", "if not True:",
+        "axiom n : Nat\ngoal g : Id U1 (natElim (fun k => U0) Nat (fun k ih => ih) n)"
+        " (natElim (fun k => U1) Nat (fun k ih => ih) n) := refl (natElim (fun k => U0) Nat (fun k ih => ih) n)",
+        False,
+    ),
+    "spine-nodes-not-compared": (
+        "conversion.py", "        if f1[0] is not f2[0]:\n            return False\n", "",
+        "axiom p : Nat * Nat\ngoal g : Id Nat (fst p) (snd p) := refl (fst p)", False,
+    ),
 }
 
 

@@ -135,7 +135,8 @@ def test_a_file_that_is_not_utf8_names_itself(tmp_path, capsys, command):
 
 def test_a_leading_byte_order_mark_is_not_part_of_the_source(tmp_path, capsys):
     """A file that starts with a UTF-8 byte-order mark reports as its copy
-    without one, the rejection's span included."""
+    without one, the rejection's span included, and a decode error in it
+    names the byte's offset in the file, mark included."""
     plain = write(tmp_path, "plain.hott", GOOD + BAD)
     marked = tmp_path / "marked.hott"
     marked.write_bytes(b"\xef\xbb\xbf" + (GOOD + BAD).encode())
@@ -148,6 +149,12 @@ def test_a_leading_byte_order_mark_is_not_part_of_the_source(tmp_path, capsys):
         reports.append(report)
     assert reports[0] == reports[1]
     assert reports[0]["declarations"][1]["diagnostic"]["span"] is not None
+    undecodable = tmp_path / "undecodable.hott"
+    undecodable.write_bytes(b"\xef\xbb\xbfdef a : Nat := 0\n\xff")
+    assert main(["check", str(undecodable)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {undecodable}: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte\n"
+    )
 
 
 def test_exhausted_stack_is_an_internal_error_without_traceback(tmp_path):
@@ -943,6 +950,14 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
     constants_path.write_text(
         "def k : Two -> (Nat * Unit) * U1 := fun b => ((twoElim (fun _ => Nat) 2 0 b, star), Empty -> U0)\n"
     )
+    # a neutral under every kind of spine frame, quoted by the generic rule
+    frames_path = tmp_path / "frames.hott"
+    frames_path.write_text(
+        "def frames : (f : Nat -> Nat) (q : Nat * Nat) (n : Nat) (b : Two) (e : Empty) (A : U0) (x y : A)"
+        " (p : Id A x y) -> ((Nat * Nat) * (Nat * Nat)) * ((Nat * Nat) * Id A x y)"
+        " := fun f q n b e A x y p => (((f n, fst q), (snd q, natElim (fun _ => Nat) 0 (fun k ih => suc ih) n)),"
+        " ((twoElim (fun _ => Nat) 0 1 b, emptyElim (fun _ => Nat) e), J (fun a c r => Id A a c) (fun a => refl a) p))\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
     def output(python, args) -> tuple[int, str, str]:
@@ -970,6 +985,7 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
         # a printed normal form: Pi, lambdas, J, Id and refl
         (["normalize", prelude, "--name", "transportLoop"], EXIT_OK),
         (["normalize", str(constants_path), "--name", "k"], EXIT_OK),
+        (["normalize", str(frames_path), "--name", "frames"], EXIT_OK),
         (["oracle"], EXIT_OK),
         # the Cayley table's whole rows, 1.7 M cases
         (["oracle", "--suite", "groupoid-laws", "--bound", "5"], EXIT_OK),
@@ -979,6 +995,12 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
     assert [d["diagnostic"]["code"] for d in rejected["declarations"]] == [code for _, code in killers]
     normal = json.loads(report(sys.executable, ["normalize", str(constants_path), "--name", "k"])[1])["normal_form"]
     assert normal == "fun x0 => ((twoElim (fun x1 => Nat) 2 0 x0, star), Empty -> U0)"
+    normal = json.loads(report(sys.executable, ["normalize", str(frames_path), "--name", "frames"])[1])["normal_form"]
+    assert normal == (
+        "fun x0 x1 x2 x3 x4 x5 x6 x7 x8 => (((x0 x2, fst x1), (snd x1, natElim (fun x9 => Nat) 0"
+        " (fun x9 x10 => suc x10) x2)), ((twoElim (fun x9 => Nat) 0 1 x3, emptyElim (fun x9 => Nat) x4),"
+        " J (fun x9 x10 x11 => Id x5 x9 x10) (fun x9 => refl x9) x8))"
+    )
     for args, code in runs:
         expected = report(sys.executable, args)
         assert expected[0] == code
