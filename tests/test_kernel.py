@@ -596,6 +596,58 @@ def test_a_class_without_a_rule_is_a_kernel_bug():
             fail()
 
 
+# Each eliminator applied to the variable `x`, with variants that differ
+# from it in one field each (a binding field is its body's term).
+FRAME_CASES = {
+    t.App: (t.App(t.Var(0), t.Zero()), [t.App(t.Var(0), t.Suc(t.Zero()))]),
+    t.Fst: (t.Fst(t.Var(0)), [t.Snd(t.Var(0))]),
+    t.Snd: (t.Snd(t.Var(0)), [t.Fst(t.Var(0))]),
+    t.J: (
+        t.J(t.Id(t.Nat(), t.Var(2), t.Var(1)), t.Refl(t.Var(0)), t.Var(0)),
+        [
+            t.J(t.Id(t.Nat(), t.Var(1), t.Var(2)), t.Refl(t.Var(0)), t.Var(0)),
+            t.J(t.Id(t.Nat(), t.Var(2), t.Var(1)), t.Refl(t.Zero()), t.Var(0)),
+        ],
+    ),
+    t.NatElim: (
+        t.NatElim(t.Nat(), t.Zero(), t.Suc(t.Var(0)), t.Var(0)),
+        [
+            t.NatElim(t.Two(), t.Zero(), t.Suc(t.Var(0)), t.Var(0)),
+            t.NatElim(t.Nat(), t.Suc(t.Zero()), t.Suc(t.Var(0)), t.Var(0)),
+            t.NatElim(t.Nat(), t.Zero(), t.Suc(t.Var(1)), t.Var(0)),
+        ],
+    ),
+    t.TwoElim: (
+        t.TwoElim(t.Nat(), t.Zero(), t.Suc(t.Zero()), t.Var(0)),
+        [
+            t.TwoElim(t.Two(), t.Zero(), t.Suc(t.Zero()), t.Var(0)),
+            t.TwoElim(t.Nat(), t.Suc(t.Zero()), t.Suc(t.Zero()), t.Var(0)),
+            t.TwoElim(t.Nat(), t.Zero(), t.Zero(), t.Var(0)),
+        ],
+    ),
+    t.EmptyElim: (t.EmptyElim(t.Nat(), t.Var(0)), [t.EmptyElim(t.Two(), t.Var(0))]),
+}
+
+
+@pytest.mark.parametrize("node", sorted(ELIMINATOR_CLASSES, key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_each_frame_kind_quotes_back_and_compares_every_field(node):
+    """A stuck elimination of `x` is one frame `(node, *fields)`; the generic
+    quote rebuilds the term, and conversion tells it from a copy that differs
+    in any one field."""
+    term, variants = FRAME_CASES[node]
+    env = (v.fresh(0),)
+    value = evaluate(env, term)
+    assert value.__class__ is v.VNeutral and len(value.spine) == 1
+    [frame] = value.spine
+    assert frame[0] is node and len(frame) == len(node.__match_args__)  # every field but the target
+    assert quote(1, value) == term
+    assert conversion.conv_structural(1, value, evaluate(env, term))
+    for variant in variants:
+        other = evaluate(env, variant)
+        assert not conversion.conv_structural(1, value, other)
+        assert not conversion.conv_structural(1, other, value)
+
+
 # --- conversion: a differential test against the match-based rules the
 # dispatch tables replaced, kept here verbatim as the reference ---
 
