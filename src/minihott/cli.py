@@ -187,23 +187,33 @@ def cmd_normalize(args: SimpleNamespace) -> int:
     config = _config(args)
 
     def run():
-        reports, glob = check_files(_read_files(args.files), config)
-        if not all(r.ok for r in reports):
-            return None, None, reports
+        # Nothing after the first declaration named NAME can change it, so
+        # the check stops there; each later file is still read, so that one
+        # that cannot be read or decoded is an error as under `check`.
+        files = _read_files(args.files)
+        reports, glob = check_files(files, config, stop_after=args.name)
+        for _ in files:
+            pass
         entry = glob.lookup(args.name)
-        if entry is None or entry.kind != "def":
-            return None, glob, reports
-        return print_term(quote(0, entry.value)), glob, reports
+        if entry is None or entry.kind != "def" or not all(r.ok for r in reports):
+            return None, reports
+        return print_term(quote(0, entry.value)), reports
 
-    normal, glob, reports = run_deep(run)
-    if glob is None:
+    normal, reports = run_deep(run)
+    if not all(r.ok for r in reports):
         for report in reports:
             for decl in report.declarations:
                 if decl.diagnostic is not None:
                     print(decl.diagnostic.format(report.file), file=sys.stderr)
         return EXIT_REJECTED
     if normal is None:
-        print(f"error: no definition named {args.name!r} in the checked files", file=sys.stderr)
+        # the check stopped at the first declaration named NAME, if there is one
+        named = [decl.kind for decl in reports[-1].declarations[-1:] if decl.name == args.name]
+        if named:
+            message = f"{args.name!r} is {'an axiom' if named[0] == 'axiom' else 'a goal'}, not a definition"
+        else:
+            message = f"no definition named {args.name!r} in the checked files"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
         print(f'{{"name": {encode_basestring(args.name)}, "normal_form": {encode_basestring(normal)}}}')

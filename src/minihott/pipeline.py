@@ -17,6 +17,10 @@ silently building on a rejected proof.
 
 The verdicts of each file are a `CheckReport` of `DeclReport`s, the
 report format that `diagnostics` defines for `check` and `oracle` alike.
+
+A run can stop after a named declaration (`normalize` does): since a
+reference names only an earlier declaration, nothing after it can change
+its verdict or its value.
 """
 
 from __future__ import annotations
@@ -35,25 +39,41 @@ from .parser import Declaration, parse_module
 from .resolver import Resolver
 
 
+class _Stop(Exception):
+    """Raised once the declaration a run stops after is checked."""
+
+
 def check_files(
-    sources: Iterable[tuple[str, str]], config: Config | None = None
+    sources: Iterable[tuple[str, str]], config: Config | None = None, stop_after: str | None = None
 ) -> tuple[list[CheckReport], Globals]:
     """Check `(name, source)` pairs in order against one shared global
     environment; return a report per file and the environment.  `sources`
     is read one pair at a time, so a lazily read file is read only once
     the files before it are checked.  η for Σ (`conversion.eta_sigma`) is
-    set from the config for the run and restored after."""
+    set from the config for the run and restored after.
+
+    Given `stop_after`, the run ends once the first declaration of that
+    name is checked: it is the last one reported, the rest of its file is
+    lexed (its chunk parsed) but not checked, and no later pair is read
+    from `sources`."""
     glob = Globals(config)
     outer, conversion.eta_sigma = conversion.eta_sigma, glob.config.eta_sigma
+    reports: list[CheckReport] = []
     try:
-        return [_check_file(name, source, glob) for name, source in sources], glob
+        for name, source in sources:
+            report = _check_file(name, source, glob, stop_after)
+            reports.append(report)
+            if report.declarations and report.declarations[-1].name == stop_after:
+                break
+        return reports, glob
     finally:
         conversion.eta_sigma = outer
 
 
-def _check_file(file: str, source: str, glob: Globals) -> CheckReport:
+def _check_file(file: str, source: str, glob: Globals, stop_after: str | None) -> CheckReport:
     """Parse, resolve and check one file against (and extending) `glob`,
-    each batch of declarations as the parser hands it on."""
+    each batch of declarations as the parser hands it on, up to the
+    declaration named `stop_after` if it is in the file."""
     start = time.perf_counter()
     report = CheckReport(file)
     append = report.declarations.append
@@ -76,11 +96,15 @@ def _check_file(file: str, source: str, glob: Globals) -> CheckReport:
                 seen.add(decl.name)
             ms = (time.perf_counter() - decl_start) * 1000
             append(DeclReport(decl.name, decl.kind, ms, decl.source_ref, diagnostic))
+            if decl.name == stop_after:
+                raise _Stop
 
     try:
         parse_module(source, check)
     except CheckFailure as exc:  # a lex or parse error: checking catches its own
         raise CheckFailure(exc.diagnostic, file) from None
+    except _Stop:  # `parse_module` lexed the rest of the file first
+        pass
     report.ms = (time.perf_counter() - start) * 1000
     return report
 

@@ -3,6 +3,7 @@ idempotence, and the report-schema contract."""
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -26,6 +27,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernel import NORMAL_FORM_FILES, normal_forms
 from test_resolve_errors import CASES as RESOLVE_CASES
 
 from minihott import cli, conversion
@@ -697,6 +699,133 @@ def test_normalize_of_rejected_file_exits_one(tmp_path, capsys):
     assert main(["normalize", path, "--name", "wrong"]) == EXIT_REJECTED
 
 
+# `normalize` checks the files only up to the first declaration of the
+# name: a reference names only an earlier declaration, so nothing after it
+# can change its verdict or its value.
+
+CORPUS = ROOT / "corpus" / "generated"
+CORPUS_FILES = json.loads((CORPUS / "manifest.json").read_text())["files"]  # in manifest order
+
+
+# Definitions from the first, a middle and the last of the benchmark's
+# normalize inputs: the first and last of a file each, and `basePoint0`.
+STOP_NAMES = {0: ["pathInv", "transportForthBack"], 6: ["swapTwo", "twoDistinct"], 12: ["subUniverse0", "basePoint0"]}
+
+
+def test_normalize_stops_at_the_name_with_the_form_of_the_full_check(capsys):
+    for i, names in STOP_NAMES.items():
+        assert {d["name"] for d in CORPUS_FILES[i]["declarations"]} >= set(names)
+    names = [name for names in STOP_NAMES.values() for name in names]
+    paths = [str(CORPUS / f["path"]) for f in CORPUS_FILES[:NORMAL_FORM_FILES]]
+    full = normal_forms(names)  # each quoted after a check of all the files
+    recorded = json.loads((ROOT / "perfbench" / "expected" / "normal_forms.json").read_text(encoding="utf-8"))
+    for name in names:
+        assert main(["normalize", *paths, "--name", name]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and out.endswith("\n")
+        text = out[:-1].encode("utf-8")
+        assert {"bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()} == full[name] == recorded[name]
+
+
+def test_normalize_checks_nothing_after_the_name_and_parses_no_later_file(monkeypatch, capsys):
+    from minihott import pipeline
+    from minihott.checker import Checker
+
+    paths = [CORPUS / f["path"] for f in CORPUS_FILES]
+    assert len(paths) == 18
+    names = [d["name"] for f in CORPUS_FILES[:2] for d in f["declarations"]]
+    name = "sigmaPathSplit"  # the second declaration of the second file
+    checked, parsed, opened = [], [], []
+    check_declaration, parse_module = Checker.check_declaration, pipeline.parse_module
+
+    def counting_check(self, decl):
+        checked.append(decl.name)
+        return check_declaration(self, decl)
+
+    def counting_parse(source, emit=None):
+        parsed.append(source)
+        return parse_module(source, emit)
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Checker, "check_declaration", counting_check)
+    monkeypatch.setattr(pipeline, "parse_module", counting_parse)
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    assert main(["normalize", *map(str, paths), "--name", name]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert checked == names[: names.index(name) + 1]
+    assert parsed == [path.read_text(encoding="utf-8") for path in paths[:2]]
+    assert opened == list(map(str, paths))
+
+
+def test_normalize_ignores_a_rejection_after_the_name(tmp_path, capsys):
+    path = write(tmp_path, "good.hott", GOOD + BAD)
+    assert main(["normalize", path, "--name", "idTwo"]) == EXIT_OK
+    assert capsys.readouterr() == ("fun x0 => x0\n", "")
+
+
+@pytest.mark.parametrize("name", ["idTwo", "wrongAt"])
+def test_normalize_reports_the_rejections_up_to_the_name(tmp_path, capsys, name):
+    source = BAD + GOOD + BAD.replace("wrong", "wrongAt") + BAD.replace("wrong", "wrongAfter")
+    path = write(tmp_path, "bad.hott", source)
+    [report], _ = check_files([(path, source)])
+    diagnostics = [decl.diagnostic.format(path) + "\n" for decl in report.declarations if decl.diagnostic]
+    assert len(diagnostics) == 3
+    assert main(["normalize", path, "--name", name]) == EXIT_REJECTED
+    assert capsys.readouterr() == ("", "".join(diagnostics[: 1 if name == "idTwo" else 2]))
+
+
+# A parse error, and a lex error, a chunk or more after a good declaration.
+PARSE_ERROR_LATER = GOOD + CHUNKS_OF_DECLS + "def broken : Nat := )\n"
+
+
+@pytest.mark.parametrize(
+    "source,code",
+    [(PARSE_ERROR_LATER, EXIT_OK), (GOOD + LATE_LEX_ERROR, EXIT_USAGE), (GOOD + PARSE_ERROR, EXIT_USAGE)],
+    ids=["parse-error-in-a-later-chunk", "lex-error", "parse-error-in-the-same-chunk"],
+)
+def test_normalize_of_a_file_with_a_later_syntax_error(tmp_path, capsys, source, code):
+    """The rest of the name's file is lexed, so a lex error anywhere in it
+    still exits 2; it is parsed only up to the end of the chunk that holds
+    the name, so only a parse error there does."""
+    from minihott import parser
+
+    if code == EXIT_OK:  # the parse error lies past the chunk that holds the name
+        assert parser.chunk_end(source, 0) < source.index("def broken")
+    path = write(tmp_path, "late.hott", source)
+    assert main(["normalize", path, "--name", "idTwo"]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert (out, err) == ("fun x0 => x0\n", "")
+    else:
+        assert out == "" and err.startswith(f"error: {path}:")
+
+
+@pytest.mark.parametrize("text", [PARSE_ERROR, "def a : Unit := $\n", BAD])
+def test_normalize_neither_parses_nor_checks_a_later_file(tmp_path, capsys, text):
+    good = write(tmp_path, "good.hott", GOOD)
+    later = write(tmp_path, "later.hott", text)
+    assert main(["normalize", good, later, "--name", "idTwo"]) == EXIT_OK
+    assert capsys.readouterr() == ("fun x0 => x0\n", "")
+
+
+def test_normalize_reads_every_later_file(tmp_path, capsys):
+    good = write(tmp_path, "good.hott", GOOD)
+    assert main(["normalize", good, str(tmp_path / "absent.hott"), "--name", "idTwo"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "absent.hott" in err
+
+
+@pytest.mark.parametrize("kind,article", [("axiom", "an"), ("goal", "a")])
+def test_normalize_of_an_axiom_or_a_goal_names_its_kind(tmp_path, capsys, kind, article):
+    source = {"axiom": "axiom ax : Two\n", "goal": "goal ax : Two := zero2\n"}[kind]
+    path = write(tmp_path, "ax.hott", source + "def ax : Two := zero2\n")
+    assert main(["normalize", path, "--name", "ax"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: 'ax' is {article} {kind}, not a definition\n")
+
+
 # --- kernel flags and environment ---
 
 
@@ -986,6 +1115,8 @@ def test_reports_are_identical_under_sibling_interpreters(tmp_path):
         (["normalize", prelude, "--name", "transportLoop"], EXIT_OK),
         (["normalize", str(constants_path), "--name", "k"], EXIT_OK),
         (["normalize", str(frames_path), "--name", "frames"], EXIT_OK),
+        # the check stops after the name: the later files are read, not checked
+        (["normalize", *in_manifest_order, "--name", "basePoint0"], EXIT_OK),
         (["oracle"], EXIT_OK),
         # the Cayley table's whole rows, 1.7 M cases
         (["oracle", "--suite", "groupoid-laws", "--bound", "5"], EXIT_OK),
